@@ -11,9 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import random
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from ..geom import Vec2, footprint_gap
+from ..geom import Vec2, min_footprint_gap
 from ..roles.fault_injector import FaultPipeline
 from ..sim.actions import LongitudinalLimits, Maneuver, ManeuverExecutor
 from ..sim.intersection import Route
@@ -105,13 +106,15 @@ class IntersectionSimInterface(EnvironmentInterface):
         rng = self._noise_rng
         noisy = []
         for obj in snapshot.objects:
+            # Keyword arguments evaluate left to right: the draws stay in
+            # position x, y then velocity x, y order.
             noisy.append(
-                obj.with_position(
-                    obj.position
-                    + Vec2(rng.gauss(0.0, self.position_sigma), rng.gauss(0.0, self.position_sigma))
-                ).with_velocity(
-                    obj.velocity
-                    + Vec2(rng.gauss(0.0, self.velocity_sigma), rng.gauss(0.0, self.velocity_sigma))
+                replace(
+                    obj,
+                    position=obj.position
+                    + Vec2(rng.gauss(0.0, self.position_sigma), rng.gauss(0.0, self.position_sigma)),
+                    velocity=obj.velocity
+                    + Vec2(rng.gauss(0.0, self.velocity_sigma), rng.gauss(0.0, self.velocity_sigma)),
                 )
             )
         snapshot.objects = noisy
@@ -125,10 +128,9 @@ class IntersectionSimInterface(EnvironmentInterface):
         snapshot = self.pipeline.apply(snapshot, ego.route, ego.s)
         self._last_snapshot = snapshot
 
-        ego_box = ego.footprint()
-        min_separation = math.inf
-        for obj in snapshot.objects:
-            min_separation = min(min_separation, footprint_gap(ego_box, obj.footprint()))
+        min_separation = min_footprint_gap(
+            ego.footprint(), [obj.footprint() for obj in snapshot.objects]
+        )
         return {
             "perception": snapshot,
             "ego_route": ego.route,
@@ -212,9 +214,11 @@ class IntersectionSimInterface(EnvironmentInterface):
                 continue
             if obj.position.distance_to(snapshot.ego_position) > 35.0:
                 continue
+            ox, oy = obj.position.x, obj.position.y
+            ahead = route.ahead_points(ego_s)
             for along in range(2, 31):
-                point = route.point_at(ego_s + float(along))
-                if obj.position.distance_to(point) <= self._CORRIDOR_HALF_WIDTH:
+                px, py = ahead[along - 1]
+                if math.hypot(ox - px, oy - py) <= self._CORRIDOR_HALF_WIDTH:
                     stop = ego_s + float(along) - self._STOP_MARGIN
                     if best is None or stop < best:
                         best = stop

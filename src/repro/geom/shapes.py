@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Iterable, List, Union
 
 from .vec import Vec2
 
@@ -30,6 +30,10 @@ class Circle:
     def translated(self, offset: Vec2) -> "Circle":
         """Circle moved by ``offset``."""
         return Circle(self.center + offset, self.radius)
+
+    def bounding_radius(self) -> float:
+        """The radius (the :class:`OBB` bounding-circle interface)."""
+        return self.radius
 
 
 @dataclass(frozen=True)
@@ -173,20 +177,7 @@ def separation_distance(a: Shape, b: Shape) -> float:
     """
     if shapes_overlap(a, b):
         return 0.0
-    radius_a = a.bounding_radius() if isinstance(a, OBB) else a.radius
-    radius_b = b.bounding_radius() if isinstance(b, OBB) else b.radius
-    center_a = a.center
-    center_b = b.center
-    return max(0.0, center_a.distance_to(center_b) - radius_a - radius_b)
-
-
-def _closest_point_on_segment(p: Vec2, a: Vec2, b: Vec2) -> Vec2:
-    seg = b - a
-    seg_len_sq = seg.norm_sq()
-    if seg_len_sq == 0.0:
-        return a
-    t = max(0.0, min(1.0, (p - a).dot(seg) / seg_len_sq))
-    return a + seg * t
+    return max(0.0, a.center.distance_to(b.center) - a.bounding_radius() - b.bounding_radius())
 
 
 def _point_segment_distance(
@@ -194,8 +185,9 @@ def _point_segment_distance(
 ) -> float:
     """Distance from point ``p`` to segment ``ab`` on plain floats.
 
-    Float twin of ``p.distance_to(_closest_point_on_segment(p, a, b))``
-    with identical operation order.
+    ``p`` is measured against the point ``a + (b - a) * t`` with ``t`` the
+    projection parameter clamped to ``[0, 1]``.  :func:`_obb_gap` inlines
+    this body; the two must keep the same operation order.
     """
     segx, segy = bx - ax, by - ay
     seg_len_sq = segx * segx + segy * segy
@@ -205,19 +197,27 @@ def _point_segment_distance(
     return math.hypot(px - (ax + segx * t), py - (ay + segy * t))
 
 
-def _segment_distance(
+def _segments_cross(
     p1x: float, p1y: float, p2x: float, p2y: float,
     q1x: float, q1y: float, q2x: float, q2y: float,
-) -> float:
-    """Minimum distance between two segments, on plain floats (hot path)."""
-    # If the segments intersect, the distance is zero.
+) -> bool:
+    """True when each segment's endpoints lie strictly on opposite sides of
+    the other's line (a proper crossing), on plain floats."""
     px, py = p2x - p1x, p2y - p1y
     qx, qy = q2x - q1x, q2y - q1y
     d1 = px * (q1y - p1y) - py * (q1x - p1x)
     d2 = px * (q2y - p1y) - py * (q2x - p1x)
     d3 = qx * (p1y - q1y) - qy * (p1x - q1x)
     d4 = qx * (p2y - q1y) - qy * (p2x - q1x)
-    if d1 * d2 < 0.0 and d3 * d4 < 0.0:
+    return d1 * d2 < 0.0 and d3 * d4 < 0.0
+
+
+def _segment_distance(
+    p1x: float, p1y: float, p2x: float, p2y: float,
+    q1x: float, q1y: float, q2x: float, q2y: float,
+) -> float:
+    """Minimum distance between two segments, on plain floats."""
+    if _segments_cross(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
         return 0.0
     return min(
         _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y),
@@ -232,60 +232,106 @@ def segment_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
     return _segment_distance(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y)
 
 
-def _obb_corner_coords(box: OBB) -> "tuple[float, ...]":
-    """Corner coordinates ``(x0, y0, ..., x3, y3)`` in CCW order.
+#: Safety margin absorbing float rounding in the gap lower bounds of
+#: :func:`_obb_gap` and :func:`min_footprint_gap`, so pruning can never
+#: discard the true minimum.
+_BOUND_SLACK = 1e-9
 
-    Float twin of :meth:`OBB.corners` with identical operation order:
-    each corner is ``(center ± dx) ± dy`` evaluated left to right.
+#: Box gaps (m) at or below which :func:`_obb_gap` also runs the edge
+#: crossing test.  Rounding can make it fire only for edges within
+#: rounding distance of each other, orders of magnitude below this band.
+_CROSSING_BAND = 1e-6
+
+
+def _obb_edges(box: OBB) -> "tuple[tuple[float, ...], ...]":
+    """The four edges ``(x1, y1, dx, dy, len_sq, mid_x, mid_y, half)``.
+
+    Edge ``i`` runs from corner ``i`` to corner ``i + 1`` of
+    :meth:`OBB.corners` (CCW), with the corners computed in the same
+    operation order (``(center ± dx) ± dy`` left to right); ``dx, dy`` and
+    ``len_sq`` are exactly the segment terms of
+    :func:`_point_segment_distance`.  The midpoint (``center ± dy`` or
+    ``∓ dx``) and ``half``, the edge's half-length, feed a lower bound only.
     """
     fx, fy = math.cos(box.heading), math.sin(box.heading)
     cx, cy = box.center.x, box.center.y
-    dxx, dxy = fx * box.half_length, fy * box.half_length
-    dyx, dyy = -fy * box.half_width, fx * box.half_width
+    hl, hw = box.half_length, box.half_width
+    dxx, dxy = fx * hl, fy * hl
+    dyx, dyy = -fy * hw, fx * hw
+    x0, y0 = (cx + dxx) + dyx, (cy + dxy) + dyy
+    x1, y1 = (cx - dxx) + dyx, (cy - dxy) + dyy
+    x2, y2 = (cx - dxx) - dyx, (cy - dxy) - dyy
+    x3, y3 = (cx + dxx) - dyx, (cy + dxy) - dyy
+    ex0, ey0 = x1 - x0, y1 - y0
+    ex1, ey1 = x2 - x1, y2 - y1
+    ex2, ey2 = x3 - x2, y3 - y2
+    ex3, ey3 = x0 - x3, y0 - y3
     return (
-        (cx + dxx) + dyx, (cy + dxy) + dyy,
-        (cx - dxx) + dyx, (cy - dxy) + dyy,
-        (cx - dxx) - dyx, (cy - dxy) - dyy,
-        (cx + dxx) - dyx, (cy + dxy) - dyy,
+        (x0, y0, ex0, ey0, ex0 * ex0 + ey0 * ey0, cx + dyx, cy + dyy, hl),
+        (x1, y1, ex1, ey1, ex1 * ex1 + ey1 * ey1, cx - dxx, cy - dxy, hw),
+        (x2, y2, ex2, ey2, ex2 * ex2 + ey2 * ey2, cx - dyx, cy - dyy, hl),
+        (x3, y3, ex3, ey3, ex3 * ex3 + ey3 * ey3, cx + dxx, cy + dxy, hw),
     )
 
 
-#: Safety margin absorbing float rounding in the edge-pair lower bound
-#: below, so pruning can never discard the true minimum.
-_EDGE_BOUND_SLACK = 1e-9
-
-
 def _obb_gap(a: OBB, b: OBB) -> float:
+    """Exact gap between two oriented boxes (0 when they overlap).
+
+    Disjoint boxes do not cross, so the gap is the smallest distance from a
+    corner of either box to an edge of the other.  The 32 corner-to-edge
+    distances are visited one edge pair at a time: pair ``(i, j)`` measures
+    the first corner of edge ``j`` of ``b`` against edge ``i`` of ``a`` and
+    the first corner of edge ``i`` against edge ``j``, so the 16 pairs cover
+    each corner-edge distance exactly once.  ``|mid_i - mid_j| - (h_i + h_j)``
+    lower-bounds both, letting a pair be skipped once a closer one has been
+    seen.  The point-to-segment distance is :func:`_point_segment_distance`
+    inlined with the same operation order, so the result equals the minimum
+    over all edge pairs of :func:`_segment_distance` bit for bit.  That
+    includes boxes a hair apart, where rounding can make an edge pair's
+    crossing test fire and the edge-pair form report contact: within
+    :data:`_CROSSING_BAND` the crossing test runs too.
+    """
     if obb_overlaps_obb(a, b):
         return 0.0
-    ca = _obb_corner_coords(a)
-    cb = _obb_corner_coords(b)
-    # Edge midpoints fall out of the corner construction for free: the
-    # midpoint of edge i is center +/- dy or -/+ dx, and edge half-lengths
-    # alternate (half_length, half_width).  ``|mid_a - mid_b| - (ha + hb)``
-    # lower-bounds the edge-pair distance, letting most of the 16 exact
-    # segment tests be skipped once a closer pair has been seen.
-    half_a = (a.half_length, a.half_width, a.half_length, a.half_width)
-    half_b = (b.half_length, b.half_width, b.half_length, b.half_width)
+    edges_a = _obb_edges(a)
+    edges_b = _obb_edges(b)
     best = math.inf
-    for i in (0, 2, 4, 6):
-        ni = (i + 2) % 8
-        p1x, p1y, p2x, p2y = ca[i], ca[i + 1], ca[ni], ca[ni + 1]
-        mix, miy = (p1x + p2x) / 2.0, (p1y + p2y) / 2.0
-        hi = half_a[i // 2]
-        for j in (0, 2, 4, 6):
-            nj = (j + 2) % 8
-            q1x, q1y, q2x, q2y = cb[j], cb[j + 1], cb[nj], cb[nj + 1]
-            bound = (
-                math.hypot(mix - (q1x + q2x) / 2.0, miy - (q1y + q2y) / 2.0)
-                - hi
-                - half_b[j // 2]
-            )
-            if bound - _EDGE_BOUND_SLACK > best:
+    for ax, ay, adx, ady, alen, amx, amy, ah in edges_a:
+        for bx, by, bdx, bdy, blen, bmx, bmy, bh in edges_b:
+            if math.hypot(amx - bmx, amy - bmy) - ah - bh - _BOUND_SLACK > best:
                 continue
-            d = _segment_distance(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y)
+            # Corner (bx, by) against edge (ax, ay) + t * (adx, ady).
+            if alen == 0.0:
+                d = math.hypot(bx - ax, by - ay)
+            else:
+                t = ((bx - ax) * adx + (by - ay) * ady) / alen
+                if t <= 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                d = math.hypot(bx - (ax + adx * t), by - (ay + ady * t))
             if d < best:
                 best = d
+            # Corner (ax, ay) against edge (bx, by) + t * (bdx, bdy).
+            if blen == 0.0:
+                d = math.hypot(ax - bx, ay - by)
+            else:
+                t = ((ax - bx) * bdx + (ay - by) * bdy) / blen
+                if t <= 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                d = math.hypot(ax - (bx + bdx * t), ay - (by + bdy * t))
+            if d < best:
+                best = d
+    if best <= _CROSSING_BAND:
+        ca, cb = a.corners(), b.corners()
+        for i in range(4):
+            p1, p2 = ca[i], ca[(i + 1) % 4]
+            for j in range(4):
+                q1, q2 = cb[j], cb[(j + 1) % 4]
+                if _segments_cross(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y):
+                    return 0.0
     return best
 
 
@@ -316,3 +362,24 @@ def footprint_gap(a: Shape, b: Shape) -> float:
         closest = _closest_point_on_obb(a, b.center)
         return max(0.0, closest.distance_to(b.center) - b.radius)
     raise TypeError(f"unsupported shape pair: {type(a).__name__}, {type(b).__name__}")
+
+
+def min_footprint_gap(a: Shape, others: Iterable[Shape], best: float = math.inf) -> float:
+    """``min(best, *(footprint_gap(a, b) for b in others))``, bit for bit.
+
+    The gap is never below the centre distance minus both bounding radii,
+    so a pair whose bound already reaches the running best cannot lower the
+    minimum and skips the exact :func:`footprint_gap`.  Pass a stored
+    running minimum as ``best`` to extend it.
+    """
+    ax, ay = a.center.x, a.center.y
+    reach = a.bounding_radius()
+    for b in others:
+        center = b.center
+        bound = math.hypot(ax - center.x, ay - center.y) - reach - b.bounding_radius()
+        if bound - _BOUND_SLACK >= best:
+            continue
+        gap = footprint_gap(a, b)
+        if gap < best:
+            best = gap
+    return best

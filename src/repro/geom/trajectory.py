@@ -10,6 +10,7 @@ check minimum separation and time-to-collision over a look-ahead horizon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -20,6 +21,13 @@ DEFAULT_HORIZON_S = 2.0
 
 #: Prediction sampling interval (seconds); matches the simulator tick.
 DEFAULT_STEP_S = 0.1
+
+#: Smallest normal float: below it a squared speed has lost precision.
+_MIN_NORMAL = sys.float_info.min
+
+#: Power of two lifting an underflowing relative velocity into the normal
+#: range without rounding (any nonzero float times 2**600 is finite there).
+_UNDERFLOW_SCALE = 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -53,16 +61,26 @@ def closest_point_of_approach(a: KinematicState, b: KinematicState) -> "tuple[fl
 
     Returns:
         ``(t_cpa, d_cpa)`` where ``t_cpa >= 0`` is clamped to *now* when the
-        objects are already diverging.
+        objects are already diverging.  Only an exactly zero relative
+        velocity counts as "never closer": however slowly a pair closes,
+        its CPA is the true one (``t_cpa`` may then be very large, or
+        ``inf`` when it overflows).
     """
     rel_pos = b.position - a.position
     rel_vel = b.velocity - a.velocity
-    speed_sq = rel_vel.norm_sq()
-    if speed_sq < 1e-12:
+    if rel_vel.x == 0.0 and rel_vel.y == 0.0:
         return 0.0, rel_pos.norm()
-    t_cpa = max(0.0, -rel_pos.dot(rel_vel) / speed_sq)
-    d_cpa = (rel_pos + rel_vel * t_cpa).norm()
-    return t_cpa, d_cpa
+    speed_sq = rel_vel.norm_sq()
+    if speed_sq >= _MIN_NORMAL:
+        t_cpa = max(0.0, -rel_pos.dot(rel_vel) / speed_sq)
+        d_cpa = (rel_pos + rel_vel * t_cpa).norm()
+        return t_cpa, d_cpa
+    # The squared speed underflows: solve with the velocity scaled by an
+    # exact power of two, where rel_vel * t == scaled * (t / scale).
+    scaled = rel_vel * _UNDERFLOW_SCALE
+    t_scaled = max(0.0, -rel_pos.dot(scaled) / scaled.norm_sq())
+    d_cpa = (rel_pos + scaled * t_scaled).norm()
+    return t_scaled * _UNDERFLOW_SCALE, d_cpa
 
 
 def time_to_collision(

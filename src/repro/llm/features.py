@@ -236,11 +236,13 @@ def _assess_pedestrian(
     if distance > 35.0:
         return None
     on_path = False
-    for lookahead in (3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0):
-        path_point = route.point_at(ego_s + lookahead)
-        eta = lookahead / max(snapshot.ego_speed, 1.5)
+    ox, oy = obj.position.x, obj.position.y
+    ahead = route.ahead_points(ego_s)
+    for along in range(3, 25, 3):
+        px, py = ahead[along - 1]
+        eta = float(along) / max(snapshot.ego_speed, 1.5)
         future = obj.position + obj.velocity * eta
-        if future.distance_to(path_point) < 2.5 or obj.position.distance_to(path_point) < 2.0:
+        if math.hypot(future.x - px, future.y - py) < 2.5 or math.hypot(ox - px, oy - py) < 2.0:
             on_path = True
             break
     if not on_path:
@@ -277,9 +279,11 @@ def _obstacle_ahead(snapshot: PerceptionSnapshot, route: Route, ego_s: float) ->
             continue
         if obj.position.distance_to(snapshot.ego_position) > 30.0:
             continue
+        ox, oy = obj.position.x, obj.position.y
+        ahead = route.ahead_points(ego_s)
         for along in range(1, 26):
-            path_point = route.point_at(ego_s + float(along))
-            if obj.position.distance_to(path_point) <= _CORRIDOR_HALF_WIDTH:
+            px, py = ahead[along - 1]
+            if math.hypot(ox - px, oy - py) <= _CORRIDOR_HALF_WIDTH:
                 best = min(best, float(along))
                 break
     return best

@@ -17,7 +17,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..geom import Vec2
 
@@ -35,6 +35,10 @@ EXIT_LENGTH = 40.0
 
 #: Sampling step for route polylines (metres).
 ROUTE_SAMPLE_STEP = 0.5
+
+#: Route-ahead samples memoized per arc length: ``point_at(s + k)`` for
+#: k = 1..ROUTE_AHEAD_SAMPLES metres (see :meth:`Route.ahead_points`).
+ROUTE_AHEAD_SAMPLES = 30
 
 
 class Approach(enum.Enum):
@@ -80,6 +84,12 @@ class Route:
     _cumulative: List[float] = field(init=False, repr=False)
     _entry_s: float = field(init=False, repr=False)
     _exit_s: float = field(init=False, repr=False)
+    #: Memoized ``(s, samples)`` of :meth:`ahead_points` — the planner's
+    #: obstacle scan and the interface's blocking-stop scan both walk the
+    #: ego's route ahead at the same ``s`` every tick.
+    _ahead_cache: "Optional[tuple]" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
@@ -126,13 +136,23 @@ class Route:
         direction = self.waypoints[index + 1] - self.waypoints[index]
         return direction.angle()
 
-    def arc_length_of_nearest(self, point: Vec2) -> float:
-        """Arc length of the waypoint closest to ``point`` (coarse projection)."""
-        best_index = min(
-            range(len(self.waypoints)),
-            key=lambda i: self.waypoints[i].distance_to(point),
-        )
-        return self._cumulative[best_index]
+    def ahead_points(self, s: float) -> "Tuple[Tuple[float, float], ...]":
+        """``(x, y)`` of ``point_at(s + k)`` for k = 1..ROUTE_AHEAD_SAMPLES.
+
+        Entry ``k - 1`` is the sample ``k`` metres ahead, clamped to the
+        route end like :meth:`point_at`.  Memoized on ``s``: every caller
+        at the same arc length shares one set of samples.
+        """
+        cached = self._ahead_cache
+        if cached is not None and cached[0] == s:
+            return cached[1]
+        samples = []
+        for k in range(1, ROUTE_AHEAD_SAMPLES + 1):
+            point = self.point_at(s + float(k))
+            samples.append((point.x, point.y))
+        cached = (s, tuple(samples))
+        self._ahead_cache = cached
+        return cached[1]
 
     @property
     def entry_s(self) -> float:

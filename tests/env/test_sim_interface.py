@@ -1,11 +1,15 @@
 """Tests for the IntersectionSimInterface (CarlaInterface analog)."""
 
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
 from repro.env import IntersectionSimInterface
+from repro.geom import Vec2, footprint_gap
 from repro.sim import Maneuver, ScenarioType, build_scenario
+from repro.sim.perception import perceive
 
 
 def quiet(scenario=ScenarioType.NOMINAL, seed=0):
@@ -48,6 +52,11 @@ class TestObserve:
             interface.advance()
         state = interface.observe()
         assert 0.0 <= state["min_separation"] < 100.0
+        ego_box = interface.world.ego.footprint()
+        expected = min(
+            footprint_gap(ego_box, obj.footprint()) for obj in state["perception"].objects
+        )
+        assert state["min_separation"] == expected
 
     def test_measurement_noise_perturbs_objects(self):
         clean = IntersectionSimInterface(
@@ -82,6 +91,28 @@ class TestObserve:
         pb = b.observe()["perception"]
         for x, y in zip(pa.objects, pb.objects):
             assert x.position == y.position
+
+
+    def test_noise_draws_position_then_velocity(self):
+        interface = IntersectionSimInterface(
+            build_scenario(ScenarioType.CONGESTED, 2), position_sigma=0.3, velocity_sigma=0.2
+        )
+        interface.reset()
+        for _ in range(30):
+            interface.apply_action(Maneuver.PROCEED)
+            interface.advance()
+        clean = perceive(interface.world)
+        objects = list(clean.objects)
+        assert objects
+        twin = random.Random()
+        twin.setstate(interface._noise_rng.getstate())
+        noisy = interface._apply_measurement_noise(clean).objects
+        for obj, out in zip(objects, noisy):
+            dx, dy = twin.gauss(0.0, 0.3), twin.gauss(0.0, 0.3)
+            dvx, dvy = twin.gauss(0.0, 0.2), twin.gauss(0.0, 0.2)
+            assert out.position == obj.position + Vec2(dx, dy)
+            assert out.velocity == obj.velocity + Vec2(dvx, dvy)
+            assert replace(out, position=obj.position, velocity=obj.velocity) == obj
 
 
 class TestApplyAction:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geom import (
@@ -71,6 +71,25 @@ class TestCPA:
         t, d = closest_point_of_approach(a, b)
         assert 1.0 < t < 2.0
         assert 0.0 < d < 15.0
+
+    def test_slow_closing_pair_reaches_its_true_cpa(self):
+        # |rel_vel|^2 ~ 1.4e-14: no "effectively static" cut-off applies.
+        t, d = closest_point_of_approach(state(0, 1, 0, -1.192092896e-07), state(0, 0, 0, 0))
+        assert t == pytest.approx(1.0 / 1.192092896e-07)
+        assert d == pytest.approx(0.0, abs=1e-9)
+
+    def test_underflowing_relative_speed_is_still_exact(self):
+        # |rel_vel|^2 underflows to 0.0; the CPA is the perpendicular offset.
+        a = state(-3, -1, 0, 0)
+        b = state(0, 0, -1e-170, -1e-170)
+        t, d = closest_point_of_approach(a, b)
+        assert t == pytest.approx(2e170)
+        assert d == pytest.approx(math.sqrt(2.0))
+
+    def test_underflowing_diverging_pair_clamps_to_now(self):
+        t, d = closest_point_of_approach(state(0, 0, 0, 0), state(3, 4, 5e-324, 0))
+        assert t == 0.0
+        assert d == 5.0
 
 
 class TestTTC:
@@ -147,6 +166,9 @@ pos = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 class TestProperties:
     @given(pos, pos, vel, vel, pos, pos, vel, vel)
+    # A very slow closing pair: its CPA lies far beyond the samples, which
+    # must never come closer than the reported d_cpa.
+    @example(0.0, 1.0, 0.0, -1.192092896e-07, 0.0, 0.0, 0.0, 0.0)
     def test_cpa_is_global_minimum_on_samples(self, ax, ay, avx, avy, bx, by, bvx, bvy):
         a, b = state(ax, ay, avx, avy), state(bx, by, bvx, bvy)
         t_cpa, d_cpa = closest_point_of_approach(a, b)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geom import footprint_gap
 from repro.sim import (
     Maneuver,
     ManeuverExecutor,
@@ -48,6 +49,23 @@ class TestStepping:
         world = World(build_scenario(ScenarioType.CONGESTED, 0))
         drive(world)
         assert world.min_true_gap < 100.0
+
+    @pytest.mark.parametrize("scenario", [ScenarioType.CONGESTED, ScenarioType.PEDESTRIAN])
+    def test_min_true_gap_is_the_running_min_of_near_gaps(self, scenario):
+        world = World(build_scenario(scenario, 4))
+        executor = ManeuverExecutor()
+        expected = float("inf")
+        while not world.done:
+            ego = world.ego
+            ego.apply_acceleration(
+                executor.acceleration_for(Maneuver.PROCEED, ego.speed, ego.s, ego.route)
+            )
+            world.step()
+            others = [v for v in world.vehicles if not v.is_ego] + world.pedestrians
+            for other in others:
+                if not other.finished and other.position.distance_to(ego.position) < 15.0:
+                    expected = min(expected, footprint_gap(ego.footprint(), other.footprint()))
+            assert world.min_true_gap == expected
 
 
 class TestTermination:
