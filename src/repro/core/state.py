@@ -9,6 +9,7 @@ makes role implementations swappable.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional
@@ -167,6 +168,14 @@ class StateManager:
         """Archived iterations, oldest first."""
         return list(self._history)
 
+    def latest(self) -> Optional[IterationRecord]:
+        """The newest archived iteration (``None`` before the first one).
+
+        Unlike ``history[-1]`` this copies nothing, so per-iteration
+        subscribers can read it at no cost proportional to the history.
+        """
+        return self._history[-1] if self._history else None
+
     def history_signal(self, key: str) -> List[float]:
         """Extract a numeric world-state series from history (for STL).
 
@@ -181,5 +190,6 @@ class StateManager:
 
     def recent(self, count: int) -> Iterator[IterationRecord]:
         """The last ``count`` archived iterations, oldest first."""
-        history = list(self._history)
-        return iter(history[-count:])
+        newest = list(itertools.islice(reversed(self._history), count))
+        newest.reverse()
+        return iter(newest)

@@ -95,10 +95,9 @@ class TraceRecorder:
         def on_event(event: Event) -> None:
             if event.kind is not EventKind.ITERATION_FINISHED:
                 return
-            history = controller.state.history
-            if not history:
+            record = controller.state.latest()
+            if record is None:
                 return
-            record = history[-1]
             recorder.frames.append(
                 TraceFrame(
                     iteration=record.iteration,

@@ -11,14 +11,13 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from ..geom import Vec2, min_footprint_gap
 from ..roles.fault_injector import FaultPipeline
 from ..sim.actions import LongitudinalLimits, Maneuver, ManeuverExecutor
 from ..sim.intersection import Route
-from ..sim.perception import ObjectKind, PerceptionSnapshot, perceive
+from ..sim.perception import ObjectKind, PerceivedObject, PerceptionSnapshot, perceive
 from ..sim.scenario import ScenarioSpec
 from ..sim.world import World
 from .interface import EnvironmentInterface
@@ -103,18 +102,29 @@ class IntersectionSimInterface(EnvironmentInterface):
     def _apply_measurement_noise(self, snapshot: PerceptionSnapshot) -> PerceptionSnapshot:
         if self.position_sigma <= 0.0 and self.velocity_sigma <= 0.0:
             return snapshot
-        rng = self._noise_rng
+        gauss = self._noise_rng.gauss
+        position_sigma, velocity_sigma = self.position_sigma, self.velocity_sigma
         noisy = []
         for obj in snapshot.objects:
-            # Keyword arguments evaluate left to right: the draws stay in
-            # position x, y then velocity x, y order.
+            position, velocity = obj.position, obj.velocity
+            # Arguments evaluate left to right: the draws stay in position
+            # x, y then velocity x, y order.
             noisy.append(
-                replace(
-                    obj,
-                    position=obj.position
-                    + Vec2(rng.gauss(0.0, self.position_sigma), rng.gauss(0.0, self.position_sigma)),
-                    velocity=obj.velocity
-                    + Vec2(rng.gauss(0.0, self.velocity_sigma), rng.gauss(0.0, self.velocity_sigma)),
+                PerceivedObject(
+                    object_id=obj.object_id,
+                    kind=obj.kind,
+                    position=Vec2(
+                        position.x + gauss(0.0, position_sigma),
+                        position.y + gauss(0.0, position_sigma),
+                    ),
+                    velocity=Vec2(
+                        velocity.x + gauss(0.0, velocity_sigma),
+                        velocity.y + gauss(0.0, velocity_sigma),
+                    ),
+                    heading=obj.heading,
+                    length=obj.length,
+                    width=obj.width,
+                    source_id=obj.source_id,
                 )
             )
         snapshot.objects = noisy

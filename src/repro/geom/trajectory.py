@@ -66,20 +66,28 @@ def closest_point_of_approach(a: KinematicState, b: KinematicState) -> "tuple[fl
         its CPA is the true one (``t_cpa`` may then be very large, or
         ``inf`` when it overflows).
     """
-    rel_pos = b.position - a.position
-    rel_vel = b.velocity - a.velocity
-    if rel_vel.x == 0.0 and rel_vel.y == 0.0:
-        return 0.0, rel_pos.norm()
-    speed_sq = rel_vel.norm_sq()
+    return _cpa(
+        b.position.x - a.position.x,
+        b.position.y - a.position.y,
+        b.velocity.x - a.velocity.x,
+        b.velocity.y - a.velocity.y,
+    )
+
+
+def _cpa(rpx: float, rpy: float, rvx: float, rvy: float) -> "tuple[float, float]":
+    """:func:`closest_point_of_approach` on plain floats: relative position
+    ``(rpx, rpy)`` and relative velocity ``(rvx, rvy)`` of ``b`` from ``a``."""
+    if rvx == 0.0 and rvy == 0.0:
+        return 0.0, math.hypot(rpx, rpy)
+    speed_sq = rvx * rvx + rvy * rvy
     if speed_sq >= _MIN_NORMAL:
-        t_cpa = max(0.0, -rel_pos.dot(rel_vel) / speed_sq)
-        d_cpa = (rel_pos + rel_vel * t_cpa).norm()
-        return t_cpa, d_cpa
+        t_cpa = max(0.0, -(rpx * rvx + rpy * rvy) / speed_sq)
+        return t_cpa, math.hypot(rpx + rvx * t_cpa, rpy + rvy * t_cpa)
     # The squared speed underflows: solve with the velocity scaled by an
     # exact power of two, where rel_vel * t == scaled * (t / scale).
-    scaled = rel_vel * _UNDERFLOW_SCALE
-    t_scaled = max(0.0, -rel_pos.dot(scaled) / scaled.norm_sq())
-    d_cpa = (rel_pos + scaled * t_scaled).norm()
+    svx, svy = rvx * _UNDERFLOW_SCALE, rvy * _UNDERFLOW_SCALE
+    t_scaled = max(0.0, -(rpx * svx + rpy * svy) / (svx * svx + svy * svy))
+    d_cpa = math.hypot(rpx + svx * t_scaled, rpy + svy * t_scaled)
     return t_scaled * _UNDERFLOW_SCALE, d_cpa
 
 

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..geom import KinematicState, Vec2, angle_difference, closest_point_of_approach
+from ..geom import KinematicState, Vec2, angle_difference
+from ..geom.trajectory import _cpa
 from ..sim.intersection import Route, in_intersection_box
 from ..sim.perception import ObjectKind, PerceivedObject, PerceptionSnapshot
 
@@ -166,13 +167,24 @@ def _assess_vehicle(
     ego_intent: KinematicState,
     ego_window: "tuple[float, float]",
 ) -> Optional[Threat]:
-    distance = obj.position.distance_to(snapshot.ego_position)
+    position, velocity = obj.position, obj.velocity
+    ego_position = snapshot.ego_position
+    dx, dy = position.x - ego_position.x, position.y - ego_position.y
+    distance = math.hypot(dx, dy)
     if distance > 55.0:
         return None
-    t_cpa, d_cpa = closest_point_of_approach(ego_intent, obj.kinematic_state())
-    to_ego = snapshot.ego_position - obj.position
-    rng = max(to_ego.norm(), 1e-6)
-    closing = (obj.velocity - snapshot.ego_velocity).dot(to_ego / rng)
+    intent_velocity = ego_intent.velocity
+    t_cpa, d_cpa = _cpa(
+        dx, dy, velocity.x - intent_velocity.x, velocity.y - intent_velocity.y
+    )
+    # Object-to-ego direction.  Its own subtraction, not -(dx, dy): the two
+    # differ in the sign of an exact zero.  Its length equals ``distance``.
+    to_ego_x, to_ego_y = ego_position.x - position.x, ego_position.y - position.y
+    rng = max(distance, 1e-6)
+    ego_velocity = snapshot.ego_velocity
+    closing = (velocity.x - ego_velocity.x) * (to_ego_x / rng) + (
+        velocity.y - ego_velocity.y
+    ) * (to_ego_y / rng)
 
     # Collision-course component: how close does the straight-line
     # prediction actually get?

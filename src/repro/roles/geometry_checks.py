@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..geom import OBB, footprint_gap
+from ..geom import OBB, Vec2, footprint_gap
 from ..sim.actions import Maneuver, ManeuverExecutor
 from ..sim.intersection import Route
 from ..sim.perception import PerceivedObject, PerceptionSnapshot
@@ -115,8 +115,7 @@ def predict_min_separation(
     steps = int(round(horizon_s / step_s))
     for i in range(steps + 1):
         t = i * step_s
-        ego_center = route.point_at(s)
-        ex, ey = ego_center.x, ego_center.y
+        ex, ey = route.xy_at(s)
         ego_box: Optional[OBB] = None
         for obj, shape, (px, py, vx, vy, radius) in zip(candidates, footprints, motions):
             bound = math.hypot(ex - (px + vx * t), ey - (py + vy * t)) - ego_radius - radius
@@ -125,7 +124,7 @@ def predict_min_separation(
                 continue
             if ego_box is None:
                 ego_box = OBB(
-                    center=ego_center,
+                    center=Vec2(ex, ey),
                     heading=route.heading_at(s),
                     half_length=VEHICLE_LENGTH / 2.0,
                     half_width=VEHICLE_WIDTH / 2.0,

@@ -103,12 +103,15 @@ class ManeuverExecutor:
                     return brake
             return creep
 
-        targets = {
-            Maneuver.PROCEED: limits.cruise_speed,
-            Maneuver.PROCEED_CAUTIOUSLY: limits.cautious_speed,
-            Maneuver.ACCELERATE: limits.boost_speed,
-        }
-        return self._track_speed(speed, targets[maneuver])
+        if maneuver is Maneuver.PROCEED:
+            target = limits.cruise_speed
+        elif maneuver is Maneuver.PROCEED_CAUTIOUSLY:
+            target = limits.cautious_speed
+        elif maneuver is Maneuver.ACCELERATE:
+            target = limits.boost_speed
+        else:
+            raise KeyError(maneuver)
+        return self._track_speed(speed, target)
 
     # ------------------------------------------------------------------
     # internals

@@ -10,6 +10,7 @@ cause unsafe *reactions*, not physical contact.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -46,8 +47,17 @@ def detect_ego_collisions(
     """All contacts between the ego footprint and other entities this tick."""
     events: List[CollisionEvent] = []
     ego_box = ego.footprint()
+    ego_x, ego_y = ego_box.center.x, ego_box.center.y
+    ego_r = ego_box.bounding_radius()
     for vehicle in vehicles:
         if vehicle.is_ego or vehicle.finished:
+            continue
+        # The bounding-circle rejection obb_overlaps_obb opens with, run
+        # before the vehicle's box is built: most vehicles are far away.
+        position = vehicle.position
+        if math.hypot(ego_x - position.x, ego_y - position.y) > ego_r + math.hypot(
+            vehicle.length / 2.0, vehicle.width / 2.0
+        ):
             continue
         if shapes_overlap(ego_box, vehicle.footprint()):
             events.append(

@@ -84,6 +84,9 @@ class Route:
     _cumulative: List[float] = field(init=False, repr=False)
     _entry_s: float = field(init=False, repr=False)
     _exit_s: float = field(init=False, repr=False)
+    #: Waypoint coordinates as plain floats for :meth:`xy_at`.
+    _xs: "Tuple[float, ...]" = field(init=False, repr=False, compare=False)
+    _ys: "Tuple[float, ...]" = field(init=False, repr=False, compare=False)
     #: Memoized ``(s, samples)`` of :meth:`ahead_points` — the planner's
     #: obstacle scan and the interface's blocking-stop scan both walk the
     #: ego's route ahead at the same ``s`` every tick.
@@ -98,6 +101,8 @@ class Route:
         for i in range(1, len(self.waypoints)):
             step = self.waypoints[i].distance_to(self.waypoints[i - 1])
             self._cumulative.append(self._cumulative[-1] + step)
+        self._xs = tuple(point.x for point in self.waypoints)
+        self._ys = tuple(point.y for point in self.waypoints)
         # Waypoints are immutable after construction, so the box-crossing
         # arc lengths are fixed; precomputing them keeps entry_s/exit_s out
         # of the per-tick hot path (they are queried for every vehicle).
@@ -119,14 +124,26 @@ class Route:
 
     def point_at(self, s: float) -> Vec2:
         """Position at arc length ``s`` (clamped to the route ends)."""
-        s = max(0.0, min(s, self.length))
-        index = bisect.bisect_right(self._cumulative, s) - 1
-        if index >= len(self.waypoints) - 1:
-            return self.waypoints[-1]
-        seg_start = self._cumulative[index]
-        seg_len = self._cumulative[index + 1] - seg_start
+        return Vec2(*self.xy_at(s))
+
+    def xy_at(self, s: float) -> Tuple[float, float]:
+        """``(x, y)`` at arc length ``s`` (clamped to the route ends).
+
+        The interpolation is :meth:`Vec2.lerp`'s ``x0 + (x1 - x0) * t`` on
+        plain floats, so hot loops that only need coordinates build no
+        vector.
+        """
+        cumulative = self._cumulative
+        s = max(0.0, min(s, cumulative[-1]))
+        index = bisect.bisect_right(cumulative, s) - 1
+        xs, ys = self._xs, self._ys
+        if index >= len(xs) - 1:
+            return xs[-1], ys[-1]
+        seg_start = cumulative[index]
+        seg_len = cumulative[index + 1] - seg_start
         t = 0.0 if seg_len == 0.0 else (s - seg_start) / seg_len
-        return self.waypoints[index].lerp(self.waypoints[index + 1], t)
+        x0, y0 = xs[index], ys[index]
+        return x0 + (xs[index + 1] - x0) * t, y0 + (ys[index + 1] - y0) * t
 
     def heading_at(self, s: float) -> float:
         """Path tangent heading (radians) at arc length ``s``."""
@@ -146,11 +163,8 @@ class Route:
         cached = self._ahead_cache
         if cached is not None and cached[0] == s:
             return cached[1]
-        samples = []
-        for k in range(1, ROUTE_AHEAD_SAMPLES + 1):
-            point = self.point_at(s + float(k))
-            samples.append((point.x, point.y))
-        cached = (s, tuple(samples))
+        xy_at = self.xy_at
+        cached = (s, tuple([xy_at(s + float(k)) for k in range(1, ROUTE_AHEAD_SAMPLES + 1)]))
         self._ahead_cache = cached
         return cached[1]
 

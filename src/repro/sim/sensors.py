@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 from ..geom import Vec2, angle_difference
 from .intersection import Route, in_intersection_box
-from .perception import ObjectKind, PerceivedObject, PerceptionSnapshot
+from .perception import ObjectKind, PerceptionSnapshot
 
 
 @dataclass(frozen=True)
@@ -48,54 +49,68 @@ class SensorSuite:
         }
 
 
-def _bearing_description(ego_heading: float, ego_position: Vec2, target: Vec2) -> str:
-    """Coarse relative bearing ('ahead', 'ahead-left', ...)."""
-    relative = angle_difference((target - ego_position).angle(), ego_heading)
-    octant = int(round(relative / (math.pi / 4.0))) % 8
-    names = [
-        "ahead",
-        "ahead-left",
-        "left",
-        "behind-left",
-        "behind",
-        "behind-right",
-        "right",
-        "ahead-right",
-    ]
-    return names[octant]
+#: Coarse relative bearings by octant, counter-clockwise from dead ahead.
+_BEARINGS = (
+    "ahead",
+    "ahead-left",
+    "left",
+    "behind-left",
+    "behind",
+    "behind-right",
+    "right",
+    "ahead-right",
+)
+
+_LIDAR_RANGE_M = 50.0
+_RADAR_RANGE_M = 60.0
+_FRONT_FOV_DEG = 90.0
 
 
-def _describe_object(snapshot: PerceptionSnapshot, obj: PerceivedObject) -> str:
-    distance = obj.position.distance_to(snapshot.ego_position)
-    bearing = _bearing_description(snapshot.ego_heading, snapshot.ego_position, obj.position)
+def _ego_relative(snapshot: PerceptionSnapshot) -> "List[tuple]":
+    """``(obj, distance, relative bearing, dx, dy)`` per object, in list order.
+
+    ``(dx, dy)`` is the object's offset from the ego and the bearing is
+    relative to the ego heading.  The LiDAR, radar and front-camera
+    channels all read these, so each is computed once per object.
+    """
+    ego = snapshot.ego_position
+    ex, ey = ego.x, ego.y
+    heading = snapshot.ego_heading
+    rows = []
+    for obj in snapshot.objects:
+        position = obj.position
+        dx, dy = position.x - ex, position.y - ey
+        rows.append(
+            (obj, math.hypot(dx, dy), angle_difference(math.atan2(dy, dx), heading), dx, dy)
+        )
+    return rows
+
+
+def _describe(row: tuple) -> str:
+    obj, distance, relative = row[0], row[1], row[2]
+    bearing = _BEARINGS[int(round(relative / (math.pi / 4.0))) % 8]
     return (
         f"{obj.kind.value} #{obj.object_id}: {distance:.1f} m {bearing}, "
         f"size {obj.length:.1f}x{obj.width:.1f} m, speed {obj.speed:.1f} m/s"
     )
 
 
-def lidar_summary(snapshot: PerceptionSnapshot, max_range: float = 50.0) -> str:
-    """Aggregated nearby objects with positions and dimensions (Table I row 1)."""
-    objects = sorted(
-        snapshot.nearby(max_range),
-        key=lambda o: o.position.distance_to(snapshot.ego_position),
-    )
-    if not objects:
+def _lidar_text(rows: "List[tuple]", max_range: float) -> str:
+    # sorted() is stable: equal distances keep the object-list order.
+    near = sorted((row for row in rows if row[1] <= max_range), key=lambda row: row[1])
+    if not near:
         return "LiDAR: no obstacles within range."
-    lines = [_describe_object(snapshot, obj) for obj in objects]
-    return "LiDAR obstacles: " + "; ".join(lines) + "."
+    return "LiDAR obstacles: " + "; ".join([_describe(row) for row in near]) + "."
 
 
-def radar_summary(snapshot: PerceptionSnapshot, max_range: float = 60.0) -> str:
-    """Range and relative radial velocity per detection (Table I row 2)."""
+def _radar_text(rows: "List[tuple]", ego_velocity: Vec2, max_range: float) -> str:
+    evx, evy = ego_velocity.x, ego_velocity.y
     detections = []
-    for obj in snapshot.nearby(max_range):
-        to_obj = obj.position - snapshot.ego_position
-        rng = to_obj.norm()
-        if rng < 1e-6:
+    for obj, rng, _, dx, dy in rows:
+        if not 1e-6 <= rng <= max_range:
             continue
-        direction = to_obj / rng
-        radial = (obj.velocity - snapshot.ego_velocity).dot(direction)
+        velocity = obj.velocity
+        radial = (velocity.x - evx) * (dx / rng) + (velocity.y - evy) * (dy / rng)
         trend = "closing" if radial < -0.1 else ("opening" if radial > 0.1 else "steady")
         detections.append(f"#{obj.object_id} range {rng:.1f} m, radial {radial:+.1f} m/s ({trend})")
     if not detections:
@@ -103,20 +118,27 @@ def radar_summary(snapshot: PerceptionSnapshot, max_range: float = 60.0) -> str:
     return "Radar detections: " + "; ".join(detections) + "."
 
 
-def front_camera_descriptor(snapshot: PerceptionSnapshot, fov_deg: float = 90.0) -> str:
-    """Scene descriptor for the front-facing camera (Table I row 3)."""
+def _front_camera_text(rows: "List[tuple]", fov_deg: float) -> str:
     half_fov = math.radians(fov_deg) / 2.0
-    visible = []
-    for obj in snapshot.objects:
-        relative = angle_difference(
-            (obj.position - snapshot.ego_position).angle(), snapshot.ego_heading
-        )
-        if abs(relative) <= half_fov:
-            visible.append(obj)
+    visible = [row for row in rows if abs(row[2]) <= half_fov]
     if not visible:
         return "Front camera: clear view of the road ahead."
-    parts = [_describe_object(snapshot, obj) for obj in visible[:5]]
-    return "Front camera view: " + "; ".join(parts) + "."
+    return "Front camera view: " + "; ".join([_describe(row) for row in visible[:5]]) + "."
+
+
+def lidar_summary(snapshot: PerceptionSnapshot, max_range: float = _LIDAR_RANGE_M) -> str:
+    """Aggregated nearby objects with positions and dimensions (Table I row 1)."""
+    return _lidar_text(_ego_relative(snapshot), max_range)
+
+
+def radar_summary(snapshot: PerceptionSnapshot, max_range: float = _RADAR_RANGE_M) -> str:
+    """Range and relative radial velocity per detection (Table I row 2)."""
+    return _radar_text(_ego_relative(snapshot), snapshot.ego_velocity, max_range)
+
+
+def front_camera_descriptor(snapshot: PerceptionSnapshot, fov_deg: float = _FRONT_FOV_DEG) -> str:
+    """Scene descriptor for the front-facing camera (Table I row 3)."""
+    return _front_camera_text(_ego_relative(snapshot), fov_deg)
 
 
 def third_person_descriptor(snapshot: PerceptionSnapshot) -> str:
@@ -179,10 +201,11 @@ def build_sensor_suite(
     yaw_rate: float = 0.0,
 ) -> SensorSuite:
     """Render all eight channels for one tick."""
+    rows = _ego_relative(snapshot)
     return SensorSuite(
-        lidar_summary=lidar_summary(snapshot),
-        radar_summary=radar_summary(snapshot),
-        front_camera=front_camera_descriptor(snapshot),
+        lidar_summary=_lidar_text(rows, _LIDAR_RANGE_M),
+        radar_summary=_radar_text(rows, snapshot.ego_velocity, _RADAR_RANGE_M),
+        front_camera=_front_camera_text(rows, _FRONT_FOV_DEG),
         third_person_camera=third_person_descriptor(snapshot),
         imu_summary=imu_summary(snapshot, ego_acceleration, yaw_rate),
         vehicle_speed=speed_summary(snapshot),

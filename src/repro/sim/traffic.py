@@ -193,10 +193,12 @@ class TrafficController:
 
     def _leader_of(self, vehicle: Vehicle, vehicles: Sequence[Vehicle]) -> Optional[Vehicle]:
         leader: Optional[Vehicle] = None
+        route, s = vehicle.route, vehicle.s
         for other in vehicles:
-            if other is vehicle or other.finished:
+            # Route and arc length first: they reject almost every pair.
+            if other.route is not route or other.s <= s:
                 continue
-            if other.route is not vehicle.route or other.s <= vehicle.s:
+            if other is vehicle or other.finished:
                 continue
             if leader is None or other.s < leader.s:
                 leader = other

@@ -128,6 +128,25 @@ class TestHistory:
         recent = list(state.recent(2))
         assert [r.world_state["signal"] for r in recent] == [2, 3]
 
+    @given(
+        st.lists(st.integers(), max_size=20),
+        st.integers(min_value=1, max_value=25),
+        st.sampled_from([None, 1, 4]),
+    )
+    def test_recent_equals_history_slice(self, values, count, limit):
+        state = StateManager(history_limit=limit)
+        self._run_iterations(state, values)
+        assert list(state.recent(count)) == state.history[-count:]
+
+    def test_latest_is_newest_record_without_copying(self):
+        state = StateManager(history_limit=2)
+        assert state.latest() is None
+        self._run_iterations(state, [1, 2, 3])
+        assert state.latest() is state.history[-1]
+        assert state.latest().world_state["signal"] == 3
+        state.reset()
+        assert state.latest() is None
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
     def test_history_signal_round_trip(self, values):
         state = StateManager(history_limit=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OrchestrationController, OrchestratorConfig
+from repro.core import EventKind, OrchestrationController, OrchestratorConfig, TerminationReason
 from repro.env import TraceFrame, TraceRecorder
 from repro.experiments.campaign import build_controller
 from repro.sim import ScenarioType, build_scenario
@@ -52,6 +52,58 @@ class TestRecording:
     def test_actions_helper(self, recorded_controller):
         _, recorder = recorded_controller
         assert recorder.actions() == ["go"] * 4
+
+
+def _frame_from_history(controller):
+    """The frame the recorder built before ``StateManager.latest``: from a
+    full copy of the history, taking its last record."""
+    history = controller.state.history
+    record = history[-1]
+    return TraceFrame(
+        iteration=record.iteration,
+        time=record.time,
+        world={
+            k: v for k, v in record.world_state.items() if k not in TraceRecorder.EXCLUDED_KEYS
+        },
+        action=record.executed_action,
+        action_source=record.action_source,
+        verdicts={name: result.verdict.value for name, result in record.outputs.items()},
+    )
+
+
+class TestLongRun:
+    def test_timeout_run_frames_equal_history_copy_frames(self):
+        # Runs past the history bound, so the deque has wrapped many times.
+        controller = OrchestrationController(
+            [constant_generator("go")],
+            StubEnvironment(steps=10_000),
+            OrchestratorConfig(max_iterations=700, history_limit=64),
+        )
+        recorder = TraceRecorder.attach(controller)
+        expected = []
+        controller.events.subscribe(
+            lambda event: expected.append(_frame_from_history(controller))
+            if event.kind is EventKind.ITERATION_FINISHED
+            else None
+        )
+        result = controller.run()
+        assert result.reason is TerminationReason.MAX_ITERATIONS
+        assert len(recorder.frames) == 700
+        assert recorder.frames == expected
+
+    def test_scenario_timeout_frames_equal_history_copy_frames(self):
+        controller = build_controller(build_scenario(ScenarioType.CONGESTED, 3))
+        controller.config.max_iterations = 60
+        recorder = TraceRecorder.attach(controller)
+        expected = []
+        controller.events.subscribe(
+            lambda event: expected.append(_frame_from_history(controller))
+            if event.kind is EventKind.ITERATION_FINISHED
+            else None
+        )
+        result = controller.run()
+        assert result.reason is TerminationReason.MAX_ITERATIONS
+        assert recorder.frames == expected
 
 
 class TestPersistence:

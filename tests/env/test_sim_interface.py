@@ -2,14 +2,14 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.env import IntersectionSimInterface
 from repro.geom import Vec2, footprint_gap
 from repro.sim import Maneuver, ScenarioType, build_scenario
-from repro.sim.perception import perceive
+from repro.sim.perception import ObjectKind, PerceivedObject, perceive
 
 
 def quiet(scenario=ScenarioType.NOMINAL, seed=0):
@@ -113,6 +113,40 @@ class TestObserve:
             assert out.position == obj.position + Vec2(dx, dy)
             assert out.velocity == obj.velocity + Vec2(dvx, dvy)
             assert replace(out, position=obj.position, velocity=obj.velocity) == obj
+
+    def test_noisy_objects_equal_dataclass_replace(self):
+        # The reference is the dataclasses.replace body the direct
+        # construction replaced: every field, present and future, must
+        # carry over.  A ghost (source_id None) and a pedestrian ride along.
+        interface = IntersectionSimInterface(
+            build_scenario(ScenarioType.PEDESTRIAN, 1), position_sigma=0.4, velocity_sigma=0.25
+        )
+        interface.reset()
+        for _ in range(25):
+            interface.apply_action(Maneuver.PROCEED)
+            interface.advance()
+        clean = perceive(interface.world)
+        ghost = PerceivedObject(
+            object_id=-7, kind=ObjectKind.STATIC, position=Vec2(1.75, -12.0),
+            velocity=Vec2(0.0, 0.0), heading=0.5, length=1.2, width=0.8, source_id=None,
+        )
+        clean.objects.append(ghost)
+        objects = list(clean.objects)
+        assert {obj.kind for obj in objects} >= {ObjectKind.PEDESTRIAN, ObjectKind.STATIC}
+        twin = random.Random()
+        twin.setstate(interface._noise_rng.getstate())
+        noisy = interface._apply_measurement_noise(clean).objects
+        assert len(noisy) == len(objects)
+        for obj, out in zip(objects, noisy):
+            expected = replace(
+                obj,
+                position=obj.position + Vec2(twin.gauss(0.0, 0.4), twin.gauss(0.0, 0.4)),
+                velocity=obj.velocity + Vec2(twin.gauss(0.0, 0.25), twin.gauss(0.0, 0.25)),
+            )
+            assert type(out) is type(expected)
+            for field in fields(expected):
+                assert getattr(out, field.name) == getattr(expected, field.name), field.name
+        assert interface._noise_rng.getstate() == twin.getstate()
 
 
 class TestApplyAction:
