@@ -36,25 +36,6 @@ def safety_robustness(
     return check_trace(frames, {"safety": SAFETY_FORMULA}, period)[0].robustness
 
 
-def safety_robustness_many(
-    runs: "Sequence[Sequence[TraceFrame]]", period: float = 0.1
-) -> List[float]:
-    """Batched :func:`safety_robustness`: one stacked STL pass over N runs.
-
-    Groups the runs' traces by length and evaluates each rectangular stack
-    in a single vectorized pass (:mod:`repro.stl.batch`), which is
-    bit-identical per run to the scalar evaluator — block-dispatched
-    search campaigns score their whole block this way without changing
-    any artifact byte.
-    """
-    formula = parse(SAFETY_FORMULA)
-    variables = sorted(formula.variables())
-    traces = [frames_to_trace(frames, variables, period=period) for frames in runs]
-    from ..stl.batch import robustness_many
-
-    return robustness_many(formula, traces)
-
-
 @dataclass(frozen=True)
 class PropertyVerdict:
     """Outcome of checking one property against a recorded trace."""

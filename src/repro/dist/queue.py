@@ -4,15 +4,14 @@
 (``python -m repro.dist worker``) that share nothing but the on-disk
 :class:`~repro.dist.spool.Spool`.  The coordinator:
 
-* enqueues pending units as task files (blocks of ``block_size``
-  members; requeues are always singletons) and spawns/reuses the worker
-  fleet;
+* enqueues each pending unit as a one-member task file and
+  spawns/reuses the worker fleet;
 * consumes per-host outcome journals incrementally (complete lines
   only) and settles each unit **exactly once** — a key that already
   settled is counted as a dedup, not settled again, so the
   reclaim-vs-slow-worker race can never double a result;
 * expires the lease of any claim whose worker died or whose heartbeat
-  went stale, releases the claim and requeues the unsettled members;
+  went stale, releases the claim and requeues its unit if unsettled;
 * bounds requeues per unit: past ``max_requeues`` the unit is
   quarantined as a ``PoisonUnit`` error outcome (journaled evidence in
   ``quarantine.jsonl``) instead of crash-looping the fleet forever;
@@ -42,7 +41,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..exec.blocks import plan_blocks
 from ..exec.engine import EnginePolicy, TaskError, TaskRecord
 from ..exec.work import WorkUnit, fingerprint
 from ..obs.telemetry import TelemetryRegistry
@@ -87,7 +85,7 @@ class QueueBackend(ExecutorBackend):
             removed on ``close``.  A durable spool is what lets obs
             tooling audit the run afterwards.
         lease_timeout_s: heartbeat staleness past which a claim's lease
-            is expired and its unsettled members reclaimed.
+            is expired and its unit, if unsettled, reclaimed.
         heartbeat_s: worker heartbeat interval (must be well under the
             lease timeout).
         poll_s: coordinator/worker poll interval.
@@ -173,33 +171,30 @@ class QueueBackend(ExecutorBackend):
         )
         encode = self._picklable_encode(ctx)
         units = {u.key: u for u in pending}
-        # task name -> member keys, for lease reclaim
-        task_members: "Dict[str, List[str]]" = {}
+        # task name -> its unit's key, for lease reclaim
+        task_keys: "Dict[str, str]" = {}
         settled: "set[str]" = set()
         attempts: "Dict[str, int]" = {}
         requeues: "Dict[str, int]" = {}
         retry_due: "List[Tuple[float, WorkUnit]]" = []
 
-        def enqueue(members: "Sequence[WorkUnit]", fn: Any = None) -> None:
-            # Requeues (retries, reclaims) are always singletons running
-            # the plain per-unit fn, matching the local backend's
-            # block-failover semantics.
+        def enqueue(unit: WorkUnit) -> None:
+            # The spool's task layout keeps a ``members`` list; every task
+            # this backend writes (first runs, retries, reclaims) holds
+            # exactly one unit.
             self._seq += 1
-            name = "{:06d}-{}".format(
-                self._seq, fingerprint([u.key for u in members])[:12]
-            )
+            name = "{:06d}-{}".format(self._seq, fingerprint([unit.key])[:12])
             self.spool.enqueue(
                 name,
-                [(u.key, u.payload) for u in members],
-                fn if fn is not None else ctx.fn,
+                [(unit.key, unit.payload)],
+                ctx.fn,
                 ctx.policy.timeout_s,
                 encode=encode,
             )
-            task_members[name] = [u.key for u in members]
+            task_keys[name] = unit.key
 
-        block_fn = ctx.block_fn if ctx.block_fn is not None else ctx.fn
-        for block in plan_blocks(pending, ctx.policy.block_size):
-            enqueue(block, block_fn if len(block) > 1 else ctx.fn)
+        for unit in pending:
+            enqueue(unit)
         if self.manage_workers:
             self._ensure_fleet()
         # The fleet stays up across execute() calls (the search driver
@@ -208,12 +203,12 @@ class QueueBackend(ExecutorBackend):
         # units settle.
         while len(settled) < len(units):
             progressed = self._drain_outcomes(
-                ctx, units, settled, attempts, requeues, task_members,
+                ctx, units, settled, attempts, requeues, task_keys,
                 retry_due, enqueue,
             )
             progressed |= self._requeue_due(retry_due, enqueue)
             progressed |= self._reclaim_expired(
-                ctx, units, settled, requeues, task_members, enqueue
+                ctx, units, settled, requeues, task_keys, enqueue
             )
             if self.manage_workers:
                 self._manage_fleet(len(settled) < len(units))
@@ -273,7 +268,7 @@ class QueueBackend(ExecutorBackend):
         settled: "set[str]",
         attempts: "Dict[str, int]",
         requeues: "Dict[str, int]",
-        task_members: "Dict[str, List[str]]",
+        task_keys: "Dict[str, str]",
         retry_due: "List[Tuple[float, WorkUnit]]",
         enqueue: Any,
     ) -> bool:
@@ -293,7 +288,7 @@ class QueueBackend(ExecutorBackend):
                     continue
                 progressed |= self._consume_outcome(
                     record, ctx, units, settled, attempts, requeues,
-                    task_members, retry_due, enqueue,
+                    task_keys, retry_due, enqueue,
                 )
         return progressed
 
@@ -305,36 +300,31 @@ class QueueBackend(ExecutorBackend):
         settled: "set[str]",
         attempts: "Dict[str, int]",
         requeues: "Dict[str, int]",
-        task_members: "Dict[str, List[str]]",
+        task_keys: "Dict[str, str]",
         retry_due: "List[Tuple[float, WorkUnit]]",
         enqueue: Any,
     ) -> bool:
         if record.get("kind") == "task_failure":
             # The worker claimed the task but could not even read it
-            # (unpicklable payload); route every still-unsettled member
+            # (unpicklable payload); route its unit, if still unsettled,
             # through the normal error/retry path.
             task_name = record.get("task")
-            members = task_members.get(task_name, []) if isinstance(
-                task_name, str
-            ) else []
-            progressed = False
-            for key in list(members):
-                if key in settled:
-                    continue
-                progressed |= self._consume_outcome(
-                    {
-                        "kind": "task",
-                        "key": key,
-                        "task": task_name,
-                        "status": "error",
-                        "worker": record.get("worker"),
-                        "error": record.get("error") or "task unreadable",
-                        "error_type": record.get("error_type") or "TaskUnreadable",
-                    },
-                    ctx, units, settled, attempts, requeues,
-                    task_members, retry_due, enqueue,
-                )
-            return progressed
+            key = task_keys.get(task_name) if isinstance(task_name, str) else None
+            if key is None or key in settled:
+                return False
+            return self._consume_outcome(
+                {
+                    "kind": "task",
+                    "key": key,
+                    "task": task_name,
+                    "status": "error",
+                    "worker": record.get("worker"),
+                    "error": record.get("error") or "task unreadable",
+                    "error_type": record.get("error_type") or "TaskUnreadable",
+                },
+                ctx, units, settled, attempts, requeues,
+                task_keys, retry_due, enqueue,
+            )
         key = record.get("key")
         if not isinstance(key, str) or key not in units:
             return False  # stale line from an earlier execute() call
@@ -358,7 +348,7 @@ class QueueBackend(ExecutorBackend):
                 )
             )
             settled.add(key)
-            self._retire_if_done(task_name, task_members, settled)
+            self._retire(task_name, task_keys)
             return True
         # task-level error: bounded by the engine's retry policy
         attempts[key] = attempts.get(key, 0) + 1
@@ -368,7 +358,7 @@ class QueueBackend(ExecutorBackend):
             retry_due.append(
                 (time.monotonic() + ctx.backoff(attempts[key]), units[key])
             )
-            self._retire_if_done(task_name, task_members, settled, force_key=key)
+            self._retire(task_name, task_keys)
             return True
         error = TaskError(
             key=key,
@@ -387,34 +377,21 @@ class QueueBackend(ExecutorBackend):
             )
         )
         settled.add(key)
-        self._retire_if_done(task_name, task_members, settled)
+        self._retire(task_name, task_keys)
         return True
 
-    def _retire_if_done(
-        self,
-        task_name: "Optional[Any]",
-        task_members: "Dict[str, List[str]]",
-        settled: "set[str]",
-        force_key: "Optional[str]" = None,
+    def _retire(
+        self, task_name: "Optional[Any]", task_keys: "Dict[str, str]"
     ) -> None:
-        """Delete a task file + claim once every member is accounted for.
+        """Delete a task file + claim once its unit is accounted for.
 
-        A member that went to the retry queue counts as accounted-for via
-        ``force_key``: its re-execution happens under a *new* singleton
-        task, so the old block must not stay claimable.
+        A unit sent to the retry queue counts as accounted for: its
+        re-execution happens under a *new* task, so the old one must not
+        stay claimable.
         """
-        if not isinstance(task_name, str):
-            return
-        members = task_members.get(task_name)
-        if members is None:
-            return
-        if force_key is not None:
-            members = [k for k in members if k != force_key]
-            task_members[task_name] = members
-        if all(k in settled for k in members):
+        if isinstance(task_name, str) and task_keys.pop(task_name, None) is not None:
             self.spool.remove_task(task_name)
             self.spool.release_claim(task_name)
-            task_members.pop(task_name, None)
 
     def _requeue_due(
         self,
@@ -427,7 +404,7 @@ class QueueBackend(ExecutorBackend):
             return False
         retry_due[:] = [entry for entry in retry_due if entry[0] > now]
         for _, unit in due:
-            enqueue([unit], None)
+            enqueue(unit)
         return True
 
     # ------------------------------------------------------------------
@@ -451,33 +428,32 @@ class QueueBackend(ExecutorBackend):
         units: "Dict[str, WorkUnit]",
         settled: "set[str]",
         requeues: "Dict[str, int]",
-        task_members: "Dict[str, List[str]]",
+        task_keys: "Dict[str, str]",
         enqueue: Any,
     ) -> bool:
         progressed = False
         for task_name in self.spool.claimed_names():
-            members = task_members.get(task_name)
-            if members is None:
+            key = task_keys.get(task_name)
+            if key is None:
                 continue  # stale claim from an earlier campaign
             claim = self.spool.read_claim(task_name)
             if claim is None or not self._lease_expired(claim, task_name):
                 continue
             self._bump(ctx, "dist.leases_expired")
             # Outcomes the dying worker journaled before the kill are
-            # consumed on the next drain; reclaim only what is unsettled
-            # *now* — drain first so the window is as small as the race
-            # itself (the dedup guard covers whatever remains).
+            # consumed on the next drain; reclaim only if unsettled *now*
+            # — drain first so the window is as small as the race itself
+            # (the dedup guard covers whatever remains).
             self.spool.remove_task(task_name)
             self.spool.release_claim(task_name)
-            unsettled = [k for k in members if k not in settled]
-            task_members.pop(task_name, None)
-            for key in unsettled:
+            del task_keys[task_name]
+            if key not in settled:
                 requeues[key] = requeues.get(key, 0) + 1
                 if requeues[key] > self.max_requeues:
                     self._quarantine(ctx, units[key], requeues[key], settled)
                 else:
                     self._bump(ctx, "dist.units_reclaimed")
-                    enqueue([units[key]], None)
+                    enqueue(units[key])
             progressed = True
         return progressed
 

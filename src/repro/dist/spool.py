@@ -156,7 +156,7 @@ class Spool:
         timeout_s: Optional[float],
         encode: "Optional[Callable[[Any], Any]]" = None,
     ) -> None:
-        """Write one task file: a block of (key, payload) members plus the
+        """Write one task file: a list of (key, payload) members plus the
         worker callable (module-level, hence picklable), the result
         encode hook (``None`` = results are JSON-ready) and the
         per-member deadline."""

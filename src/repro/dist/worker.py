@@ -1,13 +1,12 @@
 """The host worker loop behind ``python -m repro.dist worker``.
 
 One worker process per simulated "host": it polls the spool for
-unclaimed task files, claims one exclusively, executes every member
-through :func:`~repro.exec.blocks.execute_block` under a SIGALRM
-deadline, and appends one outcome line per member to its own journal at
-``outcomes/<host>.jsonl``.  Crash-consistency is the coordinator's
-problem by design — a worker holds no state the spool does not: if it is
-SIGKILLed mid-task, its heartbeat goes stale, the coordinator expires
-the claim and requeues the unsettled members.
+unclaimed task files, claims one exclusively, executes each member
+under its own SIGALRM deadline, and appends one outcome line per member
+to its own journal at ``outcomes/<host>.jsonl``.  Crash-consistency is
+the coordinator's problem by design — a worker holds no state the spool
+does not: if it is SIGKILLed mid-task, its heartbeat goes stale, the
+coordinator expires the claim and requeues the unsettled members.
 
 The worker appends outcomes *before* deleting anything and never touches
 the task or claim files of a finished task — the coordinator consumes
@@ -26,7 +25,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..exec.blocks import execute_block
 from ..exec.engine import _call_with_deadline
 from .spool import Spool, TaskUnreadable
 
@@ -58,52 +56,27 @@ def _member_outcomes(
     # ``None`` means results are JSON-ready as-is.
     encode = task.get("encode") or (lambda value: value)
     timeout_s = task.get("timeout_s")
-    deadline = None if timeout_s is None else timeout_s * len(members)
     base = {"kind": "task", "worker": host, "claim": claim_fp, "task": task["name"]}
-    try:
-        outcomes = _call_with_deadline(
-            execute_block, (fn, list(members)), deadline
-        )
-    except BaseException as exc:  # noqa: BLE001 - wholesale block failure
-        # Timeout or infrastructure failure: every member gets an error
-        # outcome; the coordinator's retry budget decides what happens next.
-        return [
-            dict(
-                base,
-                key=key,
+    records = []
+    for key, payload in members:
+        record = dict(base, key=key, status="ok", attempts=1)
+        started = time.perf_counter()
+        try:
+            result = _call_with_deadline(fn, payload, timeout_s)
+        except Exception as exc:  # noqa: BLE001 - member tasks are user code
+            # The coordinator's retry budget decides what happens next.
+            record.update(
                 status="error",
-                attempts=1,
-                elapsed_s=0.0,
+                elapsed_s=round(time.perf_counter() - started, 6),
                 error=str(exc) or repr(exc),
                 error_type=type(exc).__name__,
             )
-            for key, _ in members
-        ]
-    records = []
-    for outcome in outcomes:
-        if outcome.ok:
-            records.append(
-                dict(
-                    base,
-                    key=outcome.key,
-                    status="ok",
-                    attempts=1,
-                    elapsed_s=round(outcome.elapsed_s, 6),
-                    result=encode(outcome.result),
-                )
-            )
         else:
-            records.append(
-                dict(
-                    base,
-                    key=outcome.key,
-                    status="error",
-                    attempts=1,
-                    elapsed_s=round(outcome.elapsed_s, 6),
-                    error=outcome.message,
-                    error_type=outcome.error_type,
-                )
+            record.update(
+                elapsed_s=round(time.perf_counter() - started, 6),
+                result=encode(result),
             )
+        records.append(record)
     return records
 
 

@@ -11,14 +11,11 @@ deterministic in-process loop), guaranteeing that ``jobs=N`` reproduces
 * :mod:`repro.exec.work` — :class:`WorkUnit` identity and deterministic
   :class:`ShardPlan` partitioning.
 * :mod:`repro.exec.engine` — :class:`CampaignEngine`, the runner itself.
-* :mod:`repro.exec.blocks` — block dispatch (many units per worker call)
-  for amortizing fixed overhead over short tasks.
 * :mod:`repro.exec.journal` — the JSONL run journal behind
   checkpoint/resume.
 * :mod:`repro.exec.progress` — progress hooks and the campaign summary.
 """
 
-from .blocks import MemberOutcome, execute_block, plan_blocks
 from .engine import (
     CampaignCancelled,
     CampaignEngine,
@@ -54,7 +51,6 @@ __all__ = [
     "ExecutionReport",
     "JournalSpecMismatch",
     "JournalState",
-    "MemberOutcome",
     "ProgressEvent",
     "ProgressHook",
     "RunJournal",
@@ -67,8 +63,6 @@ __all__ = [
     "WorkUnit",
     "check_spec_fingerprint",
     "check_unique_keys",
-    "execute_block",
     "fingerprint",
     "load_journal",
-    "plan_blocks",
 ]

@@ -26,7 +26,13 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.aggregate import aggregate_suite
 from ..analysis.tables import render_table
 from ..sim.scenario import ScenarioType
-from .campaign import DEFAULT_SEEDS, CampaignOptions, RunOutcome, run_suite
+from .campaign import (
+    DEFAULT_SEEDS,
+    CampaignOptions,
+    RunOutcome,
+    positive_int,
+    run_suite,
+)
 from .table2 import SCENARIO_ORDER, _SCENARIO_LABELS
 
 
@@ -260,7 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument(
         "--which", choices=["all", *sorted(_ABLATIONS)], default="all"
     )
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     args = parser.parse_args(argv)
     seeds = tuple(range(args.seeds))
     names = sorted(_ABLATIONS) if args.which == "all" else [args.which]

@@ -10,6 +10,7 @@ aggregate).
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -50,6 +51,18 @@ from ..sim.scenario import AttackKind, ScenarioSpec, ScenarioType, build_scenari
 #: The paper's per-scenario seed set (15 runs per scenario, §V).  Every
 #: experiment module shares this one definition.
 DEFAULT_SEEDS: Tuple[int, ...] = tuple(range(15))
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be >= 1 (e.g. ``--jobs``).
+
+    A bad value becomes an argparse usage error (exit 2) instead of a
+    ``ValueError`` traceback from deep inside the engine.
+    """
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def normalized_field_values(cls: type, data: Dict[str, Any]) -> Dict[str, Any]:
@@ -545,7 +558,6 @@ def execute_suite(
     options: Optional[CampaignOptions] = None,
     *,
     jobs: int = 1,
-    block_size: int = 1,
     journal: "str | Path | None" = None,
     resume: bool = False,
     timeout_s: Optional[float] = None,
@@ -563,10 +575,7 @@ def execute_suite(
 
     Every (scenario, seed) pair becomes one :class:`WorkUnit`; results come
     back grouped per scenario in seed order, identical for any ``jobs``
-    value.  ``block_size`` > 1 dispatches runs in blocks of that many per
-    worker call (see :mod:`repro.exec.blocks`), amortizing engine overhead
-    over short runs; results, journal records and the canonical report are
-    identical to per-unit dispatch.  A failed task (after retries) raises
+    value.  A failed task (after retries) raises
     :class:`~repro.exec.CampaignExecutionError` once the campaign settles —
     the engine never aborts mid-flight, so all other runs still complete
     and journal.
@@ -608,12 +617,7 @@ def execute_suite(
         backend = None
     engine = CampaignEngine(
         execute_campaign_unit,
-        EnginePolicy(
-            jobs=jobs,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            block_size=block_size,
-        ),
+        EnginePolicy(jobs=jobs, timeout_s=timeout_s, max_retries=max_retries),
         encode=_encode_outcome,
         decode=_decode_outcome,
         journal=journal,
@@ -646,7 +650,6 @@ def run_suite(
     options: Optional[CampaignOptions] = None,
     *,
     jobs: int = 1,
-    block_size: int = 1,
     journal: "str | Path | None" = None,
     resume: bool = False,
     progress: "ProgressHook | str | None" = "auto",
@@ -668,7 +671,6 @@ def run_suite(
         seeds,
         options,
         jobs=jobs,
-        block_size=block_size,
         journal=journal,
         resume=resume,
         progress=progress,
@@ -684,18 +686,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     ``python -m repro.experiments.campaign [--seeds N] [--jobs N]
     [--journal PATH] [--resume] [--trace DIR]``
     """
-    import argparse
     import sys
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=15)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--block-size", type=int, default=1, metavar="N",
-        help="runs executed per worker dispatch (1 = per-run dispatch); "
-        "larger blocks amortize engine overhead over short runs without "
-        "changing results",
-    )
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--journal", type=Path, default=None)
     parser.add_argument("--resume", action="store_true")
     parser.add_argument(
@@ -773,7 +768,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         seeds=tuple(range(args.seeds)),
         options=options,
         jobs=args.jobs,
-        block_size=args.block_size,
         journal=args.journal,
         resume=args.resume,
         trace=args.trace,

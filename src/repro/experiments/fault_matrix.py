@@ -51,6 +51,7 @@ from ..roles.registry import create_fallback
 from ..roles.safety_monitor import GeometricSafetyMonitor
 from ..sim.actions import Maneuver
 from ..sim.scenario import ScenarioType, build_scenario
+from .campaign import positive_int
 
 #: The sweep: fault label -> factory for a fresh (per-run) fault model.
 FAULT_FACTORIES: Dict[str, Optional[Callable[[], FaultModel]]] = {
@@ -306,7 +307,7 @@ def generate(
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--journal", type=Path, default=None)
     parser.add_argument("--resume", action="store_true")
     parser.add_argument(

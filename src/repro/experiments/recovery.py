@@ -32,6 +32,7 @@ from .campaign import (
     _encode_outcome,
     campaign_unit,
     execute_campaign_unit,
+    positive_int,
 )
 from .table2 import SCENARIO_ORDER, _SCENARIO_LABELS
 
@@ -194,7 +195,7 @@ def generate(
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=15)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--journal", type=Path, default=None)
     parser.add_argument("--resume", action="store_true")
     parser.add_argument(

@@ -24,7 +24,7 @@ from ..exec import ExecutionReport
 from ..obs import configure_logging
 from ..sim.scenario import ScenarioType
 from . import fig4, gridlock, table2
-from .campaign import DEFAULT_SEEDS, CampaignOptions, execute_suite
+from .campaign import DEFAULT_SEEDS, CampaignOptions, execute_suite, positive_int
 
 
 def run_evaluation(
@@ -111,7 +111,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--seeds", type=int, default=15)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
+        "--jobs", type=positive_int, default=1,
+        help="worker processes (1 = in-process)"
     )
     parser.add_argument(
         "--journal", type=Path, default=None, help="JSONL run journal path"

@@ -59,7 +59,7 @@ INDEX_FILE_NAME = "obs-index.json"
 _JOBS_DIR_NAME = "jobs"
 
 #: Row fields that are deterministic for a deterministic campaign —
-#: identical for any ``--jobs`` / ``--block-size``.  Query output is
+#: identical for any ``--jobs`` / ``--backend``.  Query output is
 #: restricted to these unless ``--timing`` asks for the rest.
 DETERMINISTIC_FIELDS: Tuple[str, ...] = (
     "job",

@@ -18,10 +18,7 @@ Phase taxonomy (see DESIGN.md §7a):
   ``trace.io``;
 * engine phases (recorded by a profiling
   :class:`~repro.exec.engine.CampaignEngine`): ``engine.dispatch``,
-  ``engine.pickle``, ``engine.worker_run``, ``engine.retry_wait``;
-* batched-simulation phase (recorded by a profiled
-  :class:`~repro.sim.batch.BatchWorlds`): ``sim.batch_step`` — one sample
-  per lockstep tick across the whole batch.
+  ``engine.pickle``, ``engine.worker_run``, ``engine.retry_wait``.
 
 Arming is strictly opt-in: the controller and engine hold
 ``profiler = None`` by default and pay one ``is not None`` check per

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ..experiments.campaign import CampaignOptions
+from ..experiments.campaign import CampaignOptions, positive_int
 from .corpus import load_corpus, replay_entry
 from .coverage import COVERAGE_FILE_NAME, load_coverage
 from .driver import CORPUS_FILE_NAME, SearchConfig, SearchDriver
@@ -44,11 +44,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--budget", type=int, default=24,
         help="total candidate evaluations (grid sampling ignores it)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="evaluation fan-out")
     parser.add_argument(
-        "--block-size", type=int, default=1, metavar="N",
-        help="evaluations per worker dispatch (1 = per-candidate); larger "
-        "blocks amortize engine overhead without changing artifacts",
+        "--jobs", type=positive_int, default=1, help="evaluation fan-out"
     )
     parser.add_argument(
         "--backend", default="local", choices=("local", "queue"),
@@ -146,7 +143,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "grid_points": args.grid_points,
             "bins": args.bins,
             "jobs": args.jobs,
-            "block_size": args.block_size,
             "timeout_s": args.timeout_s,
             "backend": args.backend,
             "hosts": args.hosts,
@@ -172,7 +168,6 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             "max_counterexamples": args.max_counterexamples,
             "bins": args.bins,
             "jobs": args.jobs,
-            "block_size": args.block_size,
             "timeout_s": args.timeout_s,
             "backend": args.backend,
             "hosts": args.hosts,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.trace_checks import safety_robustness, safety_robustness_many
+from ..analysis.trace_checks import safety_robustness
 from ..core.orchestrator import OrchestrationResult
 from ..env.recording import TraceFrame, TraceRecorder as RunRecorder
 from ..exec import WorkUnit, fingerprint
@@ -124,17 +124,6 @@ def evaluate_spec(
         robustness = NO_TRACE_ROBUSTNESS
     if profile is not None and profiler is not None:
         write_profile(profile, profiler, key=key, kind="unit")
-    return _build_evaluation(key, family, params, spec, result, robustness)
-
-
-def _build_evaluation(
-    key: str,
-    family: str,
-    params: Mapping[str, float],
-    spec: ScenarioSpec,
-    result: OrchestrationResult,
-    robustness: float,
-) -> Evaluation:
     info = result.environment_info
     metrics = result.metrics
     return Evaluation(
@@ -206,51 +195,6 @@ def execute_search_unit(payload: "Tuple") -> Evaluation:
     return evaluate_spec(
         key, family, params, spec, options, trace=trace, profile=profile
     )
-
-
-def execute_search_block(payloads: "List[Tuple]") -> "List[Evaluation]":
-    """Block worker: evaluate N candidates, scoring STL in one batched pass.
-
-    Runs every member's assurance loop sequentially (the role loop is
-    scalar by design — the scalar path is the reference), then computes
-    all members' safety robustness in a single stacked evaluation via
-    :func:`~repro.analysis.trace_checks.safety_robustness_many`, which is
-    bit-identical per run to the scalar scorer.  Results are therefore
-    byte-for-byte the same as per-unit dispatch; only wall-clock changes.
-
-    Members that request per-unit profiling fall back to
-    :func:`execute_search_unit` — phase samples are attributed per unit,
-    which a shared batched pass cannot honour.
-    """
-    evaluations: "List[Optional[Evaluation]]" = [None] * len(payloads)
-    staged = []  # (index, key, family, params, spec, result, frames)
-    for index, payload in enumerate(payloads):
-        key, family, params, run_seed, options, trace_dir, profile_dir = payload
-        if profile_dir is not None:
-            evaluations[index] = execute_search_unit(payload)
-            continue
-        spec = get_space(family).to_spec(params, run_seed)
-        trace = unit_trace_path(trace_dir, key) if trace_dir is not None else None
-        result, frames = run_spec(spec, options, trace=trace, trace_id=key)
-        staged.append((index, key, family, params, spec, result, frames))
-    scored = [entry for entry in staged if entry[6]]
-    scores = safety_robustness_many([entry[6] for entry in scored]) if scored else []
-    score_by_index = {entry[0]: value for entry, value in zip(scored, scores)}
-    for index, key, family, params, spec, result, _ in staged:
-        evaluations[index] = _build_evaluation(
-            key,
-            family,
-            params,
-            spec,
-            result,
-            score_by_index.get(index, NO_TRACE_ROBUSTNESS),
-        )
-    return evaluations
-
-
-#: Marks the callable as an all-at-once block worker for
-#: :func:`repro.exec.blocks.execute_block`.
-execute_search_block.__block_worker__ = True
 
 
 def encode_evaluation(evaluation: Evaluation) -> Dict[str, Any]:

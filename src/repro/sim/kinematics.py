@@ -1,16 +1,8 @@
-"""Pure longitudinal-kinematics functions shared by both simulation paths.
+"""Pure longitudinal-kinematics functions for the vehicle stepper.
 
-The scalar :class:`~repro.sim.vehicle.Vehicle` stepper and the vectorized
-:mod:`repro.sim.batch` stepper must stay *bit-identical*: the batched
-campaign path is only trustworthy if it reproduces the scalar reference
-byte-for-byte.  Keeping the integration arithmetic in one place — with a
-documented floating-point operation order — makes that equivalence a
-property of the code rather than of two implementations drifting in sync.
-
-Every function here is a pure ``(state) -> (state)`` map over plain floats
-(or, transparently, numpy arrays of them: the expressions use only ``+ - *
-/`` and comparisons, which evaluate element-wise with the same IEEE-754
-rounding as the scalar path).
+Every function here is a pure ``(state) -> (state)`` map over plain
+floats, with a documented floating-point operation order: the report
+oracle is byte-exact, so the arithmetic order is part of the contract.
 """
 
 from __future__ import annotations
@@ -27,7 +19,7 @@ def integrate_longitudinal(
     would cross zero speed inside the step, the vehicle advances by the
     exact stopping distance and comes to rest.
 
-    Floating-point contract (the batch stepper mirrors this order):
+    Floating-point contract:
 
     * ``new_speed = speed + acceleration * dt``
     * moving:   ``s + (speed + new_speed) / 2.0 * dt``

@@ -14,6 +14,11 @@ def square(payload):
     return payload * payload
 
 
+def nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def fail_or_square(payload):
     if payload == "poison":
         raise ValueError("bad unit poison")

@@ -12,7 +12,9 @@ from repro.dist.spool import (
     read_complete_lines,
 )
 
-from .dist_tasks import square
+from repro.dist.worker import run_worker
+
+from .dist_tasks import fail_or_square, nap, square
 
 
 class TestClaims:
@@ -130,3 +132,43 @@ class TestAudit:
         spool.write_manifest(1, journal=journal)
         summary = audit_spool(tmp_path)
         assert summary["journal_duplicate_keys"] == ["k0"]
+
+
+class TestWorkerOutcomes:
+    """A claimed task runs member by member, one outcome line each."""
+
+    @staticmethod
+    def _outcomes(spool):
+        lines, _ = read_complete_lines(spool.outcome_path("h0"), 0)
+        return [json.loads(line) for line in lines]
+
+    def test_member_error_is_recorded_and_next_member_runs(self, tmp_path):
+        spool = Spool(tmp_path).ensure()
+        spool.enqueue("t0", [("bad", "poison"), ("good", 3)], fail_or_square, None)
+        assert run_worker(tmp_path, "h0", once=True) == 1
+        bad, good = self._outcomes(spool)
+        assert set(bad) == {
+            "kind", "worker", "claim", "task", "key", "status", "attempts",
+            "elapsed_s", "error", "error_type",
+        }
+        assert (bad["key"], bad["status"], bad["error_type"]) == (
+            "bad", "error", "ValueError",
+        )
+        assert bad["error"] == "bad unit poison"
+        assert set(good) == {
+            "kind", "worker", "claim", "task", "key", "status", "attempts",
+            "elapsed_s", "result",
+        }
+        assert (good["key"], good["status"], good["result"]) == ("good", "ok", 9)
+        assert good["task"] == "t0" and good["attempts"] == 1
+
+    def test_deadline_applies_per_member(self, tmp_path):
+        # 0.8 s overruns the 0.5 s per-member deadline even though it fits
+        # inside 0.5 s x 2 members; the next member still runs.
+        spool = Spool(tmp_path).ensure()
+        spool.enqueue("t0", [("slow", 0.8), ("fast", 0.0)], nap, 0.5)
+        run_worker(tmp_path, "h0", once=True)
+        slow, fast = self._outcomes(spool)
+        assert (slow["status"], slow["error_type"]) == ("error", "TaskTimeout")
+        assert (fast["status"], fast["result"]) == ("ok", 0.0)
+

@@ -208,7 +208,7 @@ class TestSearchWorkload:
         config = WORKLOADS["smoke"].config()
         assert "kind" not in config
         assert set(config) == {
-            "scenarios", "seeds", "jobs", "block_size", "deadline_ms", "breaker",
+            "scenarios", "seeds", "jobs", "deadline_ms", "breaker",
         }
 
     def test_search_workload_payload_schema(self, tmp_path):

@@ -77,18 +77,6 @@ class TestDeterminism:
                 serial_dir / name
             ).read_bytes(), f"{name} differs between jobs=1 and jobs=2"
 
-    def test_block_size_does_not_change_artifacts(self, falsify_run, tmp_path):
-        _, serial_dir = falsify_run
-        out_dir = tmp_path / "blocks"
-        config = SearchConfig(
-            family="pedestrian", mode="falsify", seed=0, budget=12, block_size=3
-        )
-        SearchDriver(config, out_dir=out_dir, progress=None).run()
-        for name in ARTIFACTS:
-            assert (out_dir / name).read_bytes() == (
-                serial_dir / name
-            ).read_bytes(), f"{name} differs between block_size=1 and block_size=3"
-
     def test_resume_replays_journal(self, falsify_run, tmp_path):
         result, serial_dir = falsify_run
         out_dir = tmp_path / "resumed"

@@ -1,5 +1,7 @@
 """Tests for the job model: specs, the lifecycle state machine, kinds."""
 
+import json
+
 import pytest
 
 from repro.service import (
@@ -19,6 +21,7 @@ from repro.service.jobs import (
     validate_falsify_spec,
     validate_replay_spec,
 )
+from repro.search.driver import SearchConfig
 
 
 class TestJobSpec:
@@ -158,3 +161,47 @@ class TestKindValidation:
 
     def test_replay_by_job_id_valid(self):
         validate_replay_spec({"job": "j000001", "index": 0})
+
+
+class TestLegacySearchSpec:
+    """Search job specs stored before block dispatch was removed carry a
+    ``block_size`` key; they must still load, and nothing else unknown may."""
+
+    @staticmethod
+    def _stored_falsify_record(tmp_path, config):
+        path = tmp_path / "job.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "id": "j000007",
+                    "seq": 7,
+                    "spec": {
+                        "kind": "falsify",
+                        "spec": {"config": config, "trace": False},
+                        "priority": 0,
+                        "jobs": 2,
+                    },
+                }
+            )
+        )
+        return JobRecord.from_dict(json.loads(path.read_text()))
+
+    def test_stored_block_size_is_accepted_and_dropped(self, tmp_path):
+        record = self._stored_falsify_record(
+            tmp_path, {"family": "pedestrian", "budget": 12, "block_size": 3}
+        )
+        assert record.state == QUEUED
+        record.spec.validate()
+        validate_falsify_spec(record.spec.spec)
+        config = SearchConfig.from_dict(record.spec.spec["config"])
+        assert config == SearchConfig(family="pedestrian", budget=12)
+        assert "block_size" not in config.to_dict()
+
+    def test_other_unknown_config_key_still_rejected(self, tmp_path):
+        record = self._stored_falsify_record(
+            tmp_path, {"family": "pedestrian", "budget": 12, "chunk_size": 3}
+        )
+        with pytest.raises(ValueError, match="chunk_size"):
+            record.spec.validate()
+        with pytest.raises(ValueError, match="unknown SearchConfig field"):
+            SearchConfig.from_dict(record.spec.spec["config"])
