@@ -29,7 +29,6 @@ test suite already pins byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import shutil
@@ -45,7 +44,7 @@ from ..exec.engine import EnginePolicy, TaskError, TaskRecord
 from ..exec.work import WorkUnit, fingerprint
 from ..obs.telemetry import TelemetryRegistry
 from .backend import ExecutionContext, ExecutorBackend
-from .spool import Spool, read_complete_lines
+from .spool import Spool, read_records
 
 __all__ = ["QueueBackend", "PoisonUnitError"]
 
@@ -275,17 +274,9 @@ class QueueBackend(ExecutorBackend):
         progressed = False
         for host in self.spool.outcome_hosts():
             path = self.spool.outcome_path(host)
-            lines, offset = read_complete_lines(
-                path, self._offsets.get(str(path), 0)
-            )
+            records, offset = read_records(path, self._offsets.get(str(path), 0))
             self._offsets[str(path)] = offset
-            for raw in lines:
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue
-                if not isinstance(record, dict):
-                    continue
+            for record in records:
                 progressed |= self._consume_outcome(
                     record, ctx, units, settled, attempts, requeues,
                     task_keys, retry_due, enqueue,

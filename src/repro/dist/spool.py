@@ -23,12 +23,12 @@ Protocol invariants the helpers here enforce:
   ``O_CREAT | O_EXCL``, so exactly one host wins a task even when many
   poll at once; the claim records the host, its pid and a random claim
   fingerprint that travels into every outcome line the claim produces;
-* **task files are atomic** — written to a temp name and ``os.replace``d
-  in, so a worker never observes a half-written pickle;
-* **outcome journals are append-only and torn-tail safe** — one JSON
-  line per settled member, flushed and fsynced; readers consume
-  *complete* lines only (byte offsets + ``rpartition(b"\\n")``), so a
-  worker SIGKILLed mid-append never corrupts the coordinator's view;
+* **task files and the manifest are atomic** — ``repro.durable.atomic_write``,
+  so a worker never observes a half-written pickle;
+* **outcome journals are append-only and torn-tail safe** — fsynced
+  ``append_line`` records read as complete lines only, so a worker
+  SIGKILLed mid-append never corrupts the coordinator's view, and its
+  respawned successor (same name, same file) starts on a fresh line;
 * **heartbeats are cheap liveness** — an atomically-replaced file whose
   ``st_mtime`` age the coordinator compares against the lease timeout.
 """
@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..durable import append_line, atomic_write, read_complete_lines
 from ..jsonutil import dumps as strict_dumps
 
 #: Manifest file name — obs tooling sniffs this to recognize a spool.
@@ -60,32 +61,22 @@ class TaskUnreadable(Exception):
     """A claimed task file exists but cannot be unpickled."""
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def read_complete_lines(
+def read_records(
     path: Path, offset: int = 0
-) -> "Tuple[List[bytes], int]":
-    """Complete (newline-terminated) lines past ``offset``, plus the new offset.
-
-    The torn tail a crashed writer leaves behind stays unconsumed: the
-    returned offset stops at the last newline, so a later call re-reads
-    the tail once (if ever) it is completed.
-    """
-    try:
-        with path.open("rb") as fh:
-            fh.seek(offset)
-            blob = fh.read()
-    except FileNotFoundError:
-        return [], offset
-    complete, sep, _ = blob.rpartition(b"\n")
-    if not sep:
-        return [], offset
-    lines = [line for line in complete.split(b"\n") if line.strip()]
-    return lines, offset + len(complete) + len(sep)
+) -> "Tuple[List[Dict[str, Any]], int]":
+    """JSON-object records on the complete lines past ``offset``, and the
+    next offset; unparseable lines (such as a closed-off torn tail) are
+    skipped."""
+    lines, offset = read_complete_lines(path, offset)
+    records = []
+    for raw in lines:
+        try:
+            record = json.loads(raw)
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records, offset
 
 
 class Spool:
@@ -131,9 +122,8 @@ class Spool:
             record["trace_dir"] = str(trace_dir)
         if journal is not None:
             record["journal"] = str(journal)
-        _atomic_write_bytes(
-            self.manifest_path,
-            (strict_dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+        atomic_write(
+            self.manifest_path, strict_dumps(record, indent=2, sort_keys=True) + "\n"
         )
 
     def read_manifest(self) -> "Optional[Dict[str, Any]]":
@@ -167,9 +157,7 @@ class Spool:
             "timeout_s": timeout_s,
             "encode": encode,
         }
-        _atomic_write_bytes(
-            self.tasks_dir / (name + TASK_SUFFIX), pickle.dumps(task)
-        )
+        atomic_write(self.tasks_dir / (name + TASK_SUFFIX), pickle.dumps(task))
 
     def task_names(self) -> "List[str]":
         try:
@@ -267,9 +255,9 @@ class Spool:
     # ------------------------------------------------------------------
     def heartbeat(self, host: str) -> None:
         record = {"host": host, "pid": os.getpid()}
-        _atomic_write_bytes(
+        atomic_write(
             self.hearts_dir / (host + ".json"),
-            (strict_dumps(record, sort_keys=True) + "\n").encode("utf-8"),
+            strict_dumps(record, sort_keys=True) + "\n",
         )
 
     def heartbeat_age_s(
@@ -288,16 +276,11 @@ class Spool:
         return self.outcomes_dir / (host + OUTCOME_SUFFIX)
 
     def append_outcome(self, host: str, record: "Dict[str, Any]") -> None:
-        """Append one outcome line, flushed and fsynced before returning,
-        so a worker killed right after the append cannot lose it."""
-        path = self.outcome_path(host)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(strict_dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            try:
-                os.fsync(fh.fileno())
-            except OSError:
-                pass
+        """Append one outcome line, fsynced before returning, so a worker
+        killed right after the append cannot lose it."""
+        append_line(
+            self.outcome_path(host), strict_dumps(record, sort_keys=True), fsync=True
+        )
 
     def outcome_hosts(self) -> "List[str]":
         try:
@@ -314,9 +297,9 @@ class Spool:
     # quarantine / stop
     # ------------------------------------------------------------------
     def append_quarantine(self, record: "Dict[str, Any]") -> None:
-        with self.quarantine_path.open("a", encoding="utf-8") as fh:
-            fh.write(strict_dumps(record, sort_keys=True) + "\n")
-            fh.flush()
+        append_line(
+            self.quarantine_path, strict_dumps(record, sort_keys=True), fsync=True
+        )
 
     def request_stop(self) -> None:
         self.stop_path.touch()
@@ -342,30 +325,18 @@ def audit_spool(root: "str | Path") -> "Dict[str, Any]":
     manifest = spool.read_manifest()
     hosts: Dict[str, Dict[str, int]] = {}
     ok_keys: Dict[str, int] = {}
-    statuses: Dict[str, int] = {}
     for host in spool.outcome_hosts():
-        lines, _ = read_complete_lines(spool.outcome_path(host))
-        counts = {"outcomes": 0, "ok": 0, "error": 0}
-        for raw in lines:
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue
-            if not isinstance(record, dict):
-                continue
-            counts["outcomes"] += 1
+        records, _ = read_records(spool.outcome_path(host))
+        counts = {"outcomes": len(records), "ok": 0, "error": 0}
+        for record in records:
             status = record.get("status")
             if status in ("ok", "error"):
                 counts[status] += 1
-            statuses[status] = statuses.get(status, 0) + 1
             key = record.get("key")
             if status == "ok" and isinstance(key, str):
                 ok_keys[key] = ok_keys.get(key, 0) + 1
         hosts[host] = counts
-    quarantined = 0
-    if spool.quarantine_path.exists():
-        lines, _ = read_complete_lines(spool.quarantine_path)
-        quarantined = len(lines)
+    quarantined = len(read_records(spool.quarantine_path)[0])
     # Per-host duplicates are *legal* (a worker can finish and journal a
     # unit the coordinator already reclaimed — dedup-on-settle exists for
     # exactly that race); the merged engine journal is where exactly-once
@@ -374,15 +345,10 @@ def audit_spool(root: "str | Path") -> "Dict[str, Any]":
     journal_duplicates: "List[str]" = []
     journal_tasks = None
     journal_path = (manifest or {}).get("journal")
-    if journal_path and Path(journal_path).exists():
+    if journal_path:
         seen: Dict[str, int] = {}
-        lines, _ = read_complete_lines(Path(journal_path))
-        for raw in lines:
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue
-            if isinstance(record, dict) and record.get("kind") == "task":
+        for record in read_records(Path(journal_path))[0]:
+            if record.get("kind") == "task":
                 key = record.get("key")
                 if isinstance(key, str):
                     journal_tasks = (journal_tasks or 0) + 1

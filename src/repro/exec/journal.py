@@ -1,7 +1,8 @@
 """JSONL run journal: the checkpoint/resume substrate of the engine.
 
-One line per event, appended and flushed as soon as each task settles, so
-a killed campaign loses at most the in-flight tasks:
+One line per event, appended and fsynced through
+:func:`repro.durable.append_line` as soon as each task settles, so a
+killed campaign loses at most the in-flight tasks:
 
 * a ``header`` line identifying the campaign (unit-set fingerprint, an
   optional *spec fingerprint* — a hash of the normalized campaign options
@@ -12,8 +13,9 @@ a killed campaign loses at most the in-flight tasks:
   "result": <encoded>}`` (``error``/``error_type`` replace ``result`` for
   failures).
 
-:func:`load_journal` tolerates a truncated final line (the normal shape of
-a ``kill -9`` mid-write) and duplicate keys (last record wins), which is
+:func:`load_journal` tolerates a torn final line (the normal shape of a
+``kill -9`` mid-write; the next append starts on a fresh line after it)
+and duplicate keys (last record wins), which is
 exactly what resume needs: re-running a campaign with ``resume=True``
 skips every key whose last journaled status is ``ok``.
 
@@ -27,11 +29,11 @@ the field pass unchecked — there is nothing to compare).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, Optional
+from typing import Any, Dict, Optional
 
+from ..durable import append_line, read_complete_lines
 from ..jsonutil import dumps as strict_dumps
 
 JOURNAL_VERSION = 1
@@ -92,24 +94,19 @@ class JournalState:
 def load_journal(path: "str | Path") -> JournalState:
     """Parse a journal, skipping unparseable (e.g. truncated) lines.
 
-    Reads bytes and considers complete (newline-terminated) lines only,
-    the same way the service store reads its event log: a ``kill -9``
+    Considers complete (newline-terminated) lines only: a ``kill -9``
     mid-append leaves a torn final line — possibly split *inside* a
-    multi-byte UTF-8 sequence, which a text-mode read would raise on —
-    and that tail counts as one corrupt line instead of poisoning the
-    resume.
+    multi-byte UTF-8 sequence — and that tail counts as one corrupt line
+    instead of poisoning the resume.
     """
     state = JournalState()
     path = Path(path)
     if not path.exists():
         return state
-    blob = path.read_bytes()
-    complete, _, torn = blob.rpartition(b"\n")
-    if torn.strip():
+    lines, consumed = read_complete_lines(path)
+    if path.stat().st_size > consumed:
         state.corrupt_lines += 1
-    for raw in complete.split(b"\n"):
-        if not raw.strip():
-            continue
+    for raw in lines:
         try:
             record = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -129,41 +126,18 @@ def load_journal(path: "str | Path") -> JournalState:
 
 
 class RunJournal:
-    """Append-only JSONL writer with per-line flush.
+    """Append-only JSONL writer; every record is fsynced before returning.
 
-    Opened lazily on the first write so that constructing an engine with a
-    journal path has no filesystem effect until the campaign starts.
+    Creates nothing until the first write, so constructing an engine with
+    a journal path has no filesystem effect until the campaign starts.
     """
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
-        self._fh: Optional[IO[str]] = None
-
-    # ------------------------------------------------------------------
-    def _handle(self) -> IO[str]:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # A journal killed mid-write ends in a partial line with no
-            # newline; appending straight onto it would corrupt the first
-            # new record too.  Start on a fresh line instead.
-            needs_newline = False
-            if self.path.exists() and self.path.stat().st_size > 0:
-                with self.path.open("rb") as raw:
-                    raw.seek(-1, os.SEEK_END)
-                    needs_newline = raw.read(1) != b"\n"
-            self._fh = self.path.open("a", encoding="utf-8")
-            if needs_newline:
-                self._fh.write("\n")
-        return self._fh
 
     def _append(self, record: Dict[str, Any]) -> None:
-        fh = self._handle()
-        fh.write(strict_dumps(record, sort_keys=True) + "\n")
-        fh.flush()
-        try:
-            os.fsync(fh.fileno())
-        except OSError:  # e.g. a pipe; flush alone is the best we can do
-            pass
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        append_line(self.path, strict_dumps(record, sort_keys=True), fsync=True)
 
     # ------------------------------------------------------------------
     def write_header(
@@ -210,9 +184,7 @@ class RunJournal:
         self._append(record)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Nothing stays open between appends; kept for the with-statement."""
 
     def __enter__(self) -> "RunJournal":
         return self

@@ -49,6 +49,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..durable import read_complete_lines
 from ..jsonutil import dumps as strict_dumps
 from .telemetry import TelemetryRegistry
 from .trace import (
@@ -290,18 +291,11 @@ def _follow_traces(path: Path, event_filter: Optional[str], interval: float) -> 
             files = _discover_safely(path)
             label = len(files) > 1
             for p in files:
-                pos = offsets.get(p, 0)
                 try:
-                    with p.open("rb") as fh:
-                        fh.seek(pos)
-                        chunk = fh.read()
+                    lines, offsets[p] = read_complete_lines(p, offsets.get(p, 0))
                 except OSError:
                     continue
-                complete, sep, _partial = chunk.rpartition(b"\n")
-                if not sep:
-                    continue
-                offsets[p] = pos + len(complete) + len(sep)
-                for raw in complete.splitlines():
+                for raw in lines:
                     try:
                         record = json.loads(raw.decode("utf-8", "replace"))
                     except json.JSONDecodeError:

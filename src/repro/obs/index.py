@@ -32,11 +32,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import re
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..durable import atomic_write
 from ..jsonutil import dumps as strict_dumps
 from .trace import (
     JOB_FILE_NAME,
@@ -283,9 +283,7 @@ def refresh_index(
     }
     if write:
         index_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = index_path.with_name(index_path.name + ".tmp")
-        tmp.write_text(strict_dumps(index, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, index_path)
+        atomic_write(index_path, strict_dumps(index, indent=2, sort_keys=True) + "\n")
     return index
 
 

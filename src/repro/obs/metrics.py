@@ -36,6 +36,7 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..durable import atomic_write
 from ..jsonutil import dumps as strict_dumps
 from .telemetry import SUBBUCKETS, Histogram, TelemetryRegistry
 
@@ -361,14 +362,12 @@ def write_metrics_json(
     *,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Snapshot a registry to ``metrics.json`` (atomic via temp+replace).
+    """Snapshot a registry to ``metrics.json`` (via ``repro.durable.atomic_write``).
 
     The snapshot is the registry's JSON round-trip form plus a schema
     stamp, so ``TelemetryRegistry.from_snapshot(data["telemetry"])``
     rebuilds exactly what the exposition endpoint rendered.
     """
-    import os
-
     path = Path(path)
     payload = {
         "kind": "metrics_snapshot",
@@ -377,9 +376,7 @@ def write_metrics_json(
         "telemetry": registry.snapshot(),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(strict_dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, strict_dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -30,8 +30,8 @@ from .index import group_rows, index_rows, refresh_index
 from .metrics import parse_exposition
 from .telemetry import TelemetryRegistry
 
-#: Written by ``python -m repro.service serve`` next to the job store
-#: (name duplicated from the service CLI: obs never imports it).
+#: Written by ``python -m repro.service serve`` next to the job store so
+#: clients (its own CLI and this dashboard) can find the server.
 SERVICE_FILE_NAME = "service.json"
 
 #: States whose jobs the dashboard lists individually.

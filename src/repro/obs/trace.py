@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, IO, Iterable, List, Optional, Tuple
 
 from ..core.events import Event, EventKind
+from ..durable import read_complete_lines
 from ..jsonutil import dumps as strict_dumps
 from .telemetry import TelemetryRegistry
 
@@ -555,33 +556,32 @@ class TraceData:
 
 
 def load_trace(path: "str | Path") -> TraceData:
-    """Parse one trace file, tolerating a truncated final line."""
+    """Parse one trace file; a torn final line counts as one corrupt line."""
     path = Path(path)
     data = TraceData(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                data.corrupt_lines += 1
-                continue
-            if not isinstance(record, dict):
-                data.corrupt_lines += 1
-                continue
-            kind = record.get("kind")
-            if kind == "trace_header":
-                data.header = record
-            elif kind == "trace_footer":
-                data.footer = record
-            elif kind == "event":
-                data.events.append(record)
-            elif kind == "span":
-                data.spans.append(record)
-            else:
-                data.corrupt_lines += 1
+    lines, consumed = read_complete_lines(path)
+    if path.stat().st_size > consumed:
+        data.corrupt_lines += 1
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            data.corrupt_lines += 1
+            continue
+        if not isinstance(record, dict):
+            data.corrupt_lines += 1
+            continue
+        kind = record.get("kind")
+        if kind == "trace_header":
+            data.header = record
+        elif kind == "trace_footer":
+            data.footer = record
+        elif kind == "event":
+            data.events.append(record)
+        elif kind == "span":
+            data.spans.append(record)
+        else:
+            data.corrupt_lines += 1
     return data
 
 

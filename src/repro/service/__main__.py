@@ -31,15 +31,14 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
+from ..durable import atomic_write
 from ..jsonutil import dumps as strict_dumps
+from ..obs.top import SERVICE_FILE_NAME, TopError, resolve_service_url
 from .api import serve
 from .client import ServiceClient, ServiceError
 from .jobs import CANCELLED, DONE, FAILED, QUEUED, known_job_kinds
 from .scheduler import Scheduler
 from .store import JobStore
-
-#: Written next to the job store so client commands can find the server.
-SERVICE_FILE = "service.json"
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -55,8 +54,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server, thread = serve(scheduler, host=args.host, port=args.port)
     import os
 
-    (root / SERVICE_FILE).write_text(
-        strict_dumps({"url": server.url, "pid": os.getpid()}, sort_keys=True) + "\n"
+    # Clients poll for the file's existence and then parse it, so it must
+    # never be seen half-written.
+    atomic_write(
+        root / SERVICE_FILE_NAME,
+        strict_dumps({"url": server.url, "pid": os.getpid()}, sort_keys=True) + "\n",
     )
     print(f"serving on {server.url} (root: {root})", flush=True)
 
@@ -75,16 +77,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _client(args: argparse.Namespace) -> ServiceClient:
-    url: Optional[str] = getattr(args, "url", None)
-    if url is None:
-        root = Path(getattr(args, "root", None) or "service-root")
-        service_file = root / SERVICE_FILE
-        if not service_file.exists():
-            raise SystemExit(
-                f"no --url given and {service_file} not found — is a server "
-                f"running with --root {root}?"
-            )
-        url = json.loads(service_file.read_text())["url"]
+    root = getattr(args, "root", None) or "service-root"
+    try:
+        url = resolve_service_url(getattr(args, "url", None), root)
+    except TopError as exc:
+        raise SystemExit(f"{exc} — is a server running with --root {root}?") from exc
     return ServiceClient(url)
 
 
@@ -209,7 +206,7 @@ def _add_client_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--root", type=Path, default=None,
-        help=f"service root; reads the URL from <root>/{SERVICE_FILE}",
+        help=f"service root; reads the URL from <root>/{SERVICE_FILE_NAME}",
     )
 
 

@@ -259,11 +259,12 @@ class Scheduler:
         with self._cond:
             for record in self._records.values():
                 by_state[record.state] = by_state.get(record.state, 0) + 1
-            running = len(self._running)
             free = self._free_slots
         telemetry = self.telemetry
         telemetry.gauge("jobs.queue_depth").set(float(len(self.queue)))
-        telemetry.gauge("jobs.running").set(float(running))
+        # From the records, not the runner threads: a runner still saving
+        # a settled job must not count as running once clients see it done.
+        telemetry.gauge("jobs.running").set(float(by_state[RUNNING]))
         for state, count in by_state.items():
             telemetry.gauge(f"jobs.state.{state}").set(float(count))
         telemetry.gauge("slots.free").set(float(free))

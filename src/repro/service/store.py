@@ -19,19 +19,19 @@ Layout under the service root (see DESIGN.md §9)::
 Everything the scheduler knows lives here — the server process holds no
 state that is not reconstructible from this tree, which is what makes
 kill-and-restart recovery a directory walk rather than a protocol.
-``state.json`` is written via temp-file + ``os.replace`` so a crash
-mid-save leaves the previous consistent state, never a torn file.
+Files are written through :mod:`repro.durable`: a crash mid-save of
+``state.json`` leaves the previous consistent state, never a torn file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..durable import append_line, atomic_write, read_complete_lines
 from ..jsonutil import dumps as strict_dumps
 from ..obs.telemetry import TelemetryRegistry
 from .jobs import JobRecord, JobSpec
@@ -49,10 +49,8 @@ class UnknownJob(KeyError):
         super().__init__(f"unknown job {job_id!r}")
 
 
-def _atomic_write_json(path: Path, data: Dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(strict_dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _write_json(path: Path, data: Dict) -> None:
+    atomic_write(path, strict_dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 class JobStore:
@@ -103,16 +101,16 @@ class JobStore:
             job_dir.mkdir(parents=True)
             record = JobRecord(id=job_id, seq=seq, spec=spec)
             record.transitions.append({"state": record.state, "at": _now()})
-            _atomic_write_json(
+            _write_json(
                 job_dir / JOB_FILE,
                 {"id": job_id, "seq": seq, "spec": spec.to_dict()},
             )
-            _atomic_write_json(job_dir / STATE_FILE, record.to_dict())
+            _write_json(job_dir / STATE_FILE, record.to_dict())
         return record
 
     def save(self, record: JobRecord) -> None:
         start = time.perf_counter()
-        _atomic_write_json(self.job_dir(record.id) / STATE_FILE, record.to_dict())
+        _write_json(self.job_dir(record.id) / STATE_FILE, record.to_dict())
         if self.telemetry is not None:
             self.telemetry.histogram("store.save_s").record(
                 time.perf_counter() - start
@@ -150,13 +148,11 @@ class JobStore:
     # ------------------------------------------------------------------
     def append_event(self, job_id: str, event: Dict) -> None:
         path = self.job_dir(job_id) / EVENTS_FILE
-        line = strict_dumps(event, sort_keys=True) + "\n"
+        line = strict_dumps(event, sort_keys=True)
         start = time.perf_counter()
         with self._event_lock(job_id):
-            with path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.flush()
-                stream_bytes = fh.tell()
+            # Not fsynced: a progress feed; state.json is the durable record.
+            stream_bytes = append_line(path, line, fsync=False)
         if self.telemetry is not None:
             self.telemetry.histogram("store.append_s").record(
                 time.perf_counter() - start
@@ -171,30 +167,13 @@ class JobStore:
         the next poll, so consumers never see a torn JSON document.
         """
         path = self.job_dir(job_id) / EVENTS_FILE
-        if not path.exists():
-            return [], offset
-        with path.open("rb") as fh:
-            fh.seek(offset)
-            blob = fh.read()
-            end = fh.tell()
-        if not blob:
-            self._record_lag(end, offset)
-            return [], offset
-        complete, _, partial = blob.rpartition(b"\n")
-        if not complete and partial:
-            self._record_lag(end, offset)
-            return [], offset
-        lines = complete.decode("utf-8").splitlines()
-        next_offset = offset + len(complete) + 1
-        self._record_lag(end, next_offset)
-        return lines, next_offset
-
-    def _record_lag(self, stream_end: int, consumed: int) -> None:
-        """Gauge how far the slowest-observed reader trails the stream."""
-        if self.telemetry is not None:
+        lines, next_offset = read_complete_lines(path, offset)
+        if self.telemetry is not None and path.exists():
+            # How far the slowest-observed reader trails the stream.
             self.telemetry.gauge("store.read_lag_bytes").set(
-                float(max(stream_end - consumed, 0))
+                float(max(path.stat().st_size - next_offset, 0))
             )
+        return [line.decode("utf-8") for line in lines], next_offset
 
     def write_error(self, job_id: str, text: str) -> None:
         (self.job_dir(job_id) / ERROR_FILE).write_text(text)

@@ -95,9 +95,12 @@ class TestQueueExecution:
         no task error surfaced to the campaign.
         """
         marker = tmp_path / "victim.pid"
+        # The other units' marker exists up front, so only the victim
+        # blocks; they all complete on their first execution.
+        done = tmp_path / "done"
+        done.write_text("")
         units = [WorkUnit(key="victim", payload=(str(marker), 7))] + [
-            WorkUnit(key=f"k{i}", payload=(str(tmp_path / "absent"), i))
-            for i in range(5)
+            WorkUnit(key=f"k{i}", payload=(str(done), i)) for i in range(5)
         ]
         journal = tmp_path / "journal.jsonl"
         telemetry = TelemetryRegistry()

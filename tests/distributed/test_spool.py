@@ -5,14 +5,9 @@ import pickle
 
 import pytest
 
-from repro.dist.spool import (
-    Spool,
-    TaskUnreadable,
-    audit_spool,
-    read_complete_lines,
-)
-
+from repro.dist.spool import Spool, TaskUnreadable, audit_spool
 from repro.dist.worker import run_worker
+from repro.durable import read_complete_lines
 
 from .dist_tasks import fail_or_square, nap, square
 
@@ -94,6 +89,21 @@ class TestOutcomeJournal:
             fh.write(b', "status": "ok"}\n')
         lines, _ = read_complete_lines(path, offset)
         assert json.loads(lines[0])["key"] == "k1"
+
+    def test_respawned_host_appends_past_a_torn_tail(self, tmp_path):
+        # A host killed mid-append leaves a torn tail, and its replacement
+        # runs under the same name, appending to the same journal: its
+        # first outcome must start a fresh line, not be glued onto the tail.
+        spool = Spool(tmp_path).ensure()
+        path = spool.outcome_path("host0")
+        path.write_bytes(b'{"kind": "task", "key": "a", "sta')
+        assert read_complete_lines(path) == ([], 0)  # the coordinator's view
+        spool.append_outcome("host0", {"kind": "task", "key": "b", "status": "ok"})
+        lines, offset = read_complete_lines(path, 0)
+        assert offset == path.stat().st_size
+        assert lines[0] == b'{"kind": "task", "key": "a", "sta'
+        assert json.loads(lines[1]) == {"kind": "task", "key": "b", "status": "ok"}
+        assert audit_spool(tmp_path)["hosts"]["host0"]["ok"] == 1
 
     def test_heartbeat_age(self, tmp_path):
         spool = Spool(tmp_path).ensure()

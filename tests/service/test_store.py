@@ -51,7 +51,10 @@ class TestCreateAndLoad:
         before = state_file.read_text()
         assert json.loads(before)  # parseable at every point in time
         store.save(record)
-        assert not state_file.with_name(STATE_FILE + ".tmp").exists()
+        # No temp file left behind.
+        assert sorted(p.name for p in state_file.parent.iterdir()) == [
+            JOB_FILE, STATE_FILE,
+        ]
 
     def test_unknown_job_raises(self, tmp_path):
         store = JobStore(tmp_path)
@@ -94,6 +97,19 @@ class TestEventStream:
         # The torn tail stays invisible; offset points just past "a".
         again, _ = store.read_events(record.id, offset)
         assert again == []
+
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        # A server killed mid-append leaves a torn tail; the restarted
+        # server's next event must not be glued onto it.
+        store = JobStore(tmp_path)
+        record = store.create(_spec())
+        events_path = store.job_dir(record.id) / EVENTS_FILE
+        events_path.write_bytes(b'{"kind": "task", "key": "a", "sta')
+        store.append_event(record.id, {"kind": "b"})
+        lines, offset = store.read_events(record.id, 0)
+        assert lines[0] == '{"kind": "task", "key": "a", "sta'
+        assert json.loads(lines[1]) == {"kind": "b"}
+        assert offset == events_path.stat().st_size
 
     def test_missing_events_file_is_empty(self, tmp_path):
         store = JobStore(tmp_path)
