@@ -11,7 +11,6 @@ execution -> metrics logging -> loop/terminate.
 
 from __future__ import annotations
 
-import copy
 import enum
 import time as wall_clock
 from dataclasses import dataclass, field
@@ -53,7 +52,6 @@ class OrchestrationResult:
     reason: TerminationReason
     iterations: int
     metrics: DependabilityMetrics
-    final_world_state: Dict[str, Any] = field(default_factory=dict)
     environment_info: Dict[str, Any] = field(default_factory=dict)
     wall_time_s: float = 0.0
 
@@ -157,33 +155,13 @@ class OrchestrationController:
 
         info = self.environment.result_info()
         self._publish(EventKind.RUN_TERMINATED, iteration, payload={"reason": reason.value, **info})
-        if self.profiler is None:
-            final_world_state = self._snapshot_world_state()
-        else:
-            with self.profiler.phase("orchestrator.snapshot"):
-                final_world_state = self._snapshot_world_state()
         return OrchestrationResult(
             reason=reason,
             iterations=iteration,
             metrics=self.metrics,
-            final_world_state=final_world_state,
             environment_info=info,
             wall_time_s=wall_clock.perf_counter() - started,
         )
-
-    def _snapshot_world_state(self) -> Dict[str, Any]:
-        """Freeze the run-end world state into the result.
-
-        ``StateManager.world_state`` copies the top-level dict but shares
-        the nested values with the live state manager; a deep snapshot
-        keeps the result immutable however the state is mutated after the
-        run (or by a subsequent ``run()`` on the same controller).
-        """
-        state = self.state.world_state
-        try:
-            return copy.deepcopy(state)
-        except Exception:  # pragma: no cover - unpicklable exotic values
-            return state
 
     # ------------------------------------------------------------------
     # one iteration = the paper's steps 2-9

@@ -124,11 +124,6 @@ class StateManager:
         """
         self._world_state[key] = value
 
-    @property
-    def world_state(self) -> Dict[str, Any]:
-        """Copy of the full current world snapshot."""
-        return dict(self._world_state)
-
     # ------------------------------------------------------------------
     # role outputs (current iteration)
     # ------------------------------------------------------------------

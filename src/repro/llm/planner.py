@@ -1,36 +1,54 @@
 """LLMPlanner: the planner-facing facade over the surrogate model.
 
 Ties the pipeline of Fig. 3 together for one tick: perceived snapshot ->
-feature extraction -> prompt templating (with running-state history) ->
-model decision -> CoT explanation.  The Generator role
+feature extraction -> model decision (with running-state history) -> CoT
+explanation.  The prompt is templated from the same inputs only when
+:attr:`PlanOutput.prompt` is read.  The Generator role
 (:class:`~repro.roles.generator.LLMGeneratorRole`) owns an instance and
 calls :meth:`plan` each iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, List, Optional, Sequence
 
 from ..sim.actions import Maneuver
 from ..sim.intersection import Route
 from ..sim.perception import PerceptionSnapshot
-from ..sim.sensors import SensorSuite, build_sensor_suite
+from ..sim.sensors import build_sensor_suite
 from .features import PlannerObservation, observe
 from .prompt import HistoryEntry, PlannerPrompt, build_prompt
 from .surrogate import PlannerDecision, SurrogateConfig, SurrogateLLM
 
 
+def _render_prompt(
+    snapshot: PerceptionSnapshot,
+    route: Route,
+    ego_s: float,
+    ego_acceleration: float,
+    goal: str,
+    history: Sequence[HistoryEntry],
+) -> PlannerPrompt:
+    suite = build_sensor_suite(snapshot, route, ego_s, ego_acceleration)
+    return build_prompt(suite, goal, history=history)
+
+
 @dataclass
 class PlanOutput:
-    """The full planner output for one tick."""
+    """The full planner output for one tick; ``prompt`` renders on first read."""
 
     maneuver: Maneuver
     explanation: str
-    prompt: PlannerPrompt
     observation: PlannerObservation
+    render: Callable[[], PlannerPrompt] = field(repr=False, compare=False)
     failure_mode: Optional[str] = None
     fresh: bool = True
+
+    @cached_property
+    def prompt(self) -> PlannerPrompt:
+        return self.render()
 
 
 class LLMPlanner:
@@ -69,8 +87,10 @@ class LLMPlanner:
         ego_acceleration: float = 0.0,
     ) -> PlanOutput:
         """Run the full per-tick planning pipeline."""
-        suite: SensorSuite = build_sensor_suite(snapshot, route, ego_s, ego_acceleration)
-        prompt = build_prompt(suite, self.goal, history=self.history)
+        # The prompt sees the history before this tick's decision joins it.
+        render = partial(
+            _render_prompt, snapshot, route, ego_s, ego_acceleration, self.goal, tuple(self.history)
+        )
         observation = observe(snapshot, route, ego_s)
         decision: PlannerDecision = self.model.decide(observation)
 
@@ -92,8 +112,8 @@ class LLMPlanner:
         return PlanOutput(
             maneuver=decision.maneuver,
             explanation=decision.explanation,
-            prompt=prompt,
             observation=observation,
+            render=render,
             failure_mode=decision.failure_mode,
             fresh=decision.fresh,
         )

@@ -6,10 +6,10 @@ their chain-of-thought explanations) — reproducing the pipeline "these data
 streams, alongside the running state, feed into a prompt templater to
 generate a textual representation" (§IV, Fig. 3).
 
-The surrogate model consumes structured features rather than parsing this
-text back, but the prompt is built every tick regardless: it exercises the
-same templating path a real LLM deployment would use, is recorded for
-evidence, and its token-ish length feeds the performance accounting.
+The surrogate model decides from structured features, not from this text,
+so :class:`~repro.llm.planner.LLMPlanner` renders a tick's prompt only when
+something reads ``PlanOutput.prompt``.  A real-LLM backend would read it
+there, or call :func:`build_prompt` directly, and get the same text.
 """
 
 from __future__ import annotations

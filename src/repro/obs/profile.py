@@ -12,8 +12,7 @@ Phase taxonomy (see DESIGN.md §7a):
 
 * orchestration phases (recorded by the controller when armed):
   ``sim.observe``, ``role.<RoleName>``, ``orchestrator.decide``,
-  ``orchestrator.resilience``, ``sim.apply_action``, ``sim.step``,
-  ``orchestrator.snapshot``;
+  ``orchestrator.resilience``, ``sim.apply_action``, ``sim.step``;
 * trace-I/O phase (recorded by an armed :class:`TraceRecorder`):
   ``trace.io``;
 * engine phases (recorded by a profiling

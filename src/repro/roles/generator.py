@@ -104,7 +104,6 @@ class LLMGeneratorRole(Role):
                 "action": output.maneuver,
                 "failure_mode": output.failure_mode,
                 "fresh": output.fresh,
-                "prompt_tokens": output.prompt.approx_tokens,
                 "threat_count": len(output.observation.threats),
                 "max_severity": output.observation.max_severity,
             },

@@ -32,6 +32,9 @@ class ServiceClient:
     def __init__(self, url: str, timeout: float = 60.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
+        #: Event lines :meth:`events` skipped as unparseable, e.g. a torn
+        #: line left by a server killed mid-append.
+        self.corrupt_lines = 0
 
     # ------------------------------------------------------------------
     # transport
@@ -125,11 +128,12 @@ class ServiceClient:
             f"/v1/jobs/{job_id}/events?offset={offset}&wait={wait}",
             timeout=max(self.timeout, wait + 10.0),
         )
-        events = [
-            json.loads(line)
-            for line in blob.decode("utf-8").splitlines()
-            if line.strip()
-        ]
+        events = []
+        for line in blob.decode("utf-8").splitlines():
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                self.corrupt_lines += 1
         next_offset = int(headers.get("X-Next-Offset", offset))
         state = headers.get("X-Job-State", "")
         return events, next_offset, state

@@ -164,7 +164,9 @@ class JobStore:
         """Complete event lines from byte ``offset``; returns (lines, next).
 
         A line still being written (no trailing newline yet) is left for
-        the next poll, so consumers never see a torn JSON document.
+        the next poll, so consumers never see a torn JSON document.  A torn
+        line a later append completed is passed on, undecodable bytes as
+        U+FFFD, for the client to skip.
         """
         path = self.job_dir(job_id) / EVENTS_FILE
         lines, next_offset = read_complete_lines(path, offset)
@@ -173,7 +175,7 @@ class JobStore:
             self.telemetry.gauge("store.read_lag_bytes").set(
                 float(max(path.stat().st_size - next_offset, 0))
             )
-        return [line.decode("utf-8") for line in lines], next_offset
+        return [line.decode("utf-8", "replace") for line in lines], next_offset
 
     def write_error(self, job_id: str, text: str) -> None:
         (self.job_dir(job_id) / ERROR_FILE).write_text(text)

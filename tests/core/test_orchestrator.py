@@ -71,23 +71,6 @@ class TestLoop:
         result = controller.run()
         assert result.environment_info == {"ticks": 2}
 
-    def test_final_world_state_is_a_snapshot(self):
-        env = StubEnvironment(steps=2, states=[{"nested": {"speed": 1.0}}])
-        controller = OrchestrationController([constant_generator("go")], env)
-        result = controller.run()
-        assert result.final_world_state["nested"] == {"speed": 1.0}
-
-        # Post-run mutation of the live state manager (top-level *and*
-        # nested) must not leak into the already-returned result.
-        controller.state.set_world("nested", {"speed": 99.0})
-        controller.state.world("nested")["speed"] = 99.0
-        assert result.final_world_state["nested"] == {"speed": 1.0}
-
-        # Nor may a second run on the same controller rewrite it.
-        second = controller.run()
-        assert result.final_world_state["nested"] == {"speed": 1.0}
-        assert second.final_world_state["nested"] == {"speed": 1.0}
-
     def test_world_state_reaches_roles(self):
         seen = []
 

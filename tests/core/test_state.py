@@ -66,13 +66,6 @@ class TestWorldState:
         assert state.world("perception") == "faulted"
         assert state.world("other") == 1
 
-    def test_world_state_copy_is_isolated(self):
-        state = StateManager()
-        state.update_world_state({"a": 1})
-        snapshot = state.world_state
-        snapshot["a"] = 99
-        assert state.world("a") == 1
-
 
 class TestOutputs:
     def test_record_requires_role_name(self):

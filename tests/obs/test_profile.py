@@ -123,7 +123,6 @@ class TestOrchestratorIntegration:
         assert profiler.stat("sim.observe").count == n
         assert profiler.stat("sim.step").count == n
         assert profiler.stat("role.Generator").count == n
-        assert profiler.stat("orchestrator.snapshot").count == 1
 
     def test_profiling_does_not_change_outcomes(self):
         plain = OrchestrationController(

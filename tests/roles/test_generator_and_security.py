@@ -4,8 +4,12 @@ import pytest
 
 from repro.core import Verdict
 from repro.geom import Vec2
+from repro.llm import LLMPlanner
 from repro.roles import (
     DIRECTIVE_KEY,
+    EGO_ROUTE_KEY,
+    EGO_S_KEY,
+    PERCEPTION_KEY,
     LLMGeneratorRole,
     RuleBasedPlannerRole,
     ScriptedSecurityAssessor,
@@ -23,7 +27,15 @@ class TestLLMGenerator:
         assert isinstance(result.data["action"], Maneuver)
         assert result.narrative  # CoT explanation
         assert result.verdict is Verdict.INFO
-        assert result.data["prompt_tokens"] > 100
+
+    def test_planner_prompt_renders_on_read(self, quiet_interface):
+        state = make_context(quiet_interface).state
+        output = LLMPlanner().plan(
+            state.require_world(PERCEPTION_KEY),
+            state.require_world(EGO_ROUTE_KEY),
+            state.require_world(EGO_S_KEY),
+        )
+        assert output.prompt.approx_tokens > 100
 
     def test_running_state_remembered(self, quiet_interface):
         generator = LLMGeneratorRole()

@@ -7,7 +7,9 @@ import urllib.request
 
 import pytest
 
-from repro.service import ServiceClient, ServiceError
+from repro.service import JobSpec, Scheduler, ServiceClient, ServiceError
+from repro.service.api import serve
+from repro.service.store import EVENTS_FILE
 
 from .conftest import make_gate
 
@@ -132,6 +134,29 @@ class TestEvents:
         events = list(client.watch(record["id"], wait=2.0))
         assert time.monotonic() - started < 20.0
         assert [e["kind"] for e in events][-1] == "job_done"
+
+    @pytest.mark.parametrize(
+        "torn", [b'{"kind": "job_sta', b'{"kind": "\xc3'], ids=["ascii", "mid-utf8"]
+    )
+    def test_corrupt_data_torn_event_line_is_skipped_and_counted(self, store, torn):
+        # A server killed mid-append left a torn line; the restarted one
+        # appended past it, so the fragment now reads as a complete line.
+        record = store.create(JobSpec(kind="campaign"))
+        record.transition("running")
+        record.transition("done")
+        store.save(record)
+        (store.job_dir(record.id) / EVENTS_FILE).write_bytes(torn)
+        store.append_event(record.id, {"kind": "job_done"})
+        scheduler = Scheduler(store, workers=1).start()
+        server, _ = serve(scheduler)
+        try:
+            client = ServiceClient(server.url, timeout=10.0)
+            events = list(client.watch(record.id, wait=1.0))
+        finally:
+            server.shutdown()
+            scheduler.stop(wait=True, timeout=5.0)
+        assert [e["kind"] for e in events] == ["job_done"]
+        assert client.corrupt_lines == 1
 
     def test_long_poll_delivers_new_events(self, client, fake_kinds):
         spec, release, wait_running = make_gate(fake_kinds, "api-poll")

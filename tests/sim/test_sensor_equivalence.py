@@ -1,10 +1,10 @@
 """The single ego-relative pass renders exactly the old channel text.
 
 ``build_sensor_suite`` computes each object's distance, bearing and offset
-once and lets the LiDAR, radar and front-camera channels share them.  Only
-a word count of the prompt reaches ``results/evaluation.txt``, so the
-report oracle cannot see a changed character in these channels: this file
-is what pins the prompt text.  The renderers below are the bodies the pass
+once and lets the LiDAR, radar and front-camera channels share them.  The
+prompt text never reaches ``results/evaluation.txt``, so the report oracle
+cannot see a changed character in these channels: this file is what pins
+the prompt text.  The renderers below are the bodies the pass
 replaced, kept as the reference.
 """
 
@@ -209,8 +209,16 @@ def test_campaign_snapshots_match_reference(scenario, monkeypatch):
         )
         return suite
 
+    real_plan = planner_module.LLMPlanner.plan
+
+    def rendering_plan(self, *args, **kwargs):
+        output = real_plan(self, *args, **kwargs)
+        output.prompt  # the planner renders lazily; force it every tick
+        return output
+
     monkeypatch.setattr(planner_module, "build_sensor_suite", checked)
-    run_once(scenario, 0)
-    assert seen
+    monkeypatch.setattr(planner_module.LLMPlanner, "plan", rendering_plan)
+    ticks = run_once(scenario, 0).iterations
+    assert len(seen) == ticks > 0
     mismatches = [pair for pair in seen if pair[0] != pair[1]]
     assert not mismatches, mismatches[0]
