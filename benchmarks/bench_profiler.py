@@ -1,8 +1,8 @@
 """Profiler-overhead microbenchmarks.
 
 The phase profiler's contract is *zero cost when disarmed*: every hook
-site in the orchestrator and engine pays one ``is not None`` check and
-nothing else.  These benches pin that contract — a disarmed run must not
+site in the orchestrator and engine enters one shared null context
+(``repro.obs.profile.phase``) and nothing else.  These benches pin that contract — a disarmed run must not
 measurably differ from a never-instrumented one, and an armed run's
 overhead must stay a small fraction of the loop it measures.
 """

@@ -7,8 +7,7 @@ campaign (6 scenarios x 15 seeds, run in this process), hashes them and
 compares with the committed digest.
 
 Scheme: sha256 over each prompt's UTF-8 bytes followed by ``b"\\0"``, in
-run order.  Ghost-obstacle ids come from a process-wide counter and appear
-in the text, so run it in a fresh interpreter::
+run order.  Run it as::
 
     PYTHONPATH=src python benchmarks/prompt_digest.py
 
@@ -24,7 +23,7 @@ from repro.experiments import runner
 from repro.llm.planner import LLMPlanner
 
 EXPECTED_PROMPTS = 12717
-EXPECTED_DIGEST = "ea3252e3d52c6821f034af11beaabd8575f59ee5853736e9b5ff6f8dfe169eea"
+EXPECTED_DIGEST = "7ea4c8d35ef72d966edbf53eb7c0a9dc608d1da0c91b242f41a9ea4ba42ab66a"
 
 
 def campaign_prompt_digest() -> "tuple[int, str]":

@@ -20,7 +20,7 @@ Package map:
 * :mod:`repro.stl` — signal temporal logic monitoring (RTAMT substitute).
 * :mod:`repro.env` — environment interfaces and trace recording.
 * :mod:`repro.exec` — parallel campaign execution (pool, journal, resume).
-* :mod:`repro.obs` — observability: traces, telemetry, profiling, bench.
+* :mod:`repro.obs` — observability: traces, telemetry, profiling.
 * :mod:`repro.search` — coverage-guided scenario search & STL falsification.
 * :mod:`repro.experiments` — the paper's evaluation harness.
 * :mod:`repro.analysis` — aggregation and rendering utilities.

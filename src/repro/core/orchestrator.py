@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..env.interface import EnvironmentInterface
+from ..obs.profile import phase
 from .config import OrchestratorConfig
 from .errors import ConfigurationError, ResilienceError, RoleExecutionError
 from .events import Event, EventBus, EventKind
@@ -98,7 +99,7 @@ class OrchestrationController:
         self.tracer: Optional[Any] = None
         #: Optional phase profiler (:class:`repro.obs.profile.PhaseProfiler`).
         #: ``None`` (the default) keeps profiling zero-cost: every phase
-        #: site pays one ``is not None`` check and nothing else.
+        #: site enters one shared null context and nothing else.
         self.profiler: Optional[Any] = None
         self._order = self.graph.execution_order()
         if not any(s.role.kind is RoleKind.GENERATOR for s in self._order):
@@ -173,11 +174,8 @@ class OrchestrationController:
         self._publish(EventKind.ITERATION_STARTED, iteration)
 
         # Step 3: state update.
-        if profiler is None:
+        with phase(profiler, "sim.observe"):
             self.state.update_world_state(env.observe())
-        else:
-            with profiler.phase("sim.observe"):
-                self.state.update_world_state(env.observe())
         self._publish(EventKind.STATE_UPDATED, iteration)
 
         # Steps 4-5: generation and dependability assessment, in order.
@@ -186,22 +184,14 @@ class OrchestrationController:
             violation |= self._execute_role(scheduled, iteration)
 
         # Steps 6-7: feedback processing, decision and adaptation.
-        if profiler is None:
+        with phase(profiler, "orchestrator.decide"):
             action, source = self._decide_action()
-        else:
-            with profiler.phase("orchestrator.decide"):
-                action, source = self._decide_action()
 
         # Containment: never hand the environment a missing decision when
         # an action-hold policy is configured — re-issue the last executed
         # action (bounded), then the configured safe action.
         if self.resilience is not None:
-            resilience_timer = (
-                profiler.phase("orchestrator.resilience") if profiler is not None else None
-            )
-            if resilience_timer is not None:
-                resilience_timer.__enter__()
-            try:
+            with phase(profiler, "orchestrator.resilience"):
                 if action is None:
                     hold = self.resilience.hold
                     action, policy = hold.fill()
@@ -219,26 +209,17 @@ class OrchestrationController:
                     )
                 else:
                     self.resilience.hold.note_executed(action)
-            finally:
-                if resilience_timer is not None:
-                    resilience_timer.__exit__(None, None, None)
 
         # Step 8: action execution.
-        if profiler is None:
+        with phase(profiler, "sim.apply_action"):
             env.apply_action(action)
-        else:
-            with profiler.phase("sim.apply_action"):
-                env.apply_action(action)
         self._publish(
             EventKind.ACTION_EXECUTED,
             iteration,
             payload={"action": self._describe_action(action), "source": source},
         )
-        if profiler is None:
+        with phase(profiler, "sim.step"):
             env.advance()
-        else:
-            with profiler.phase("sim.step"):
-                env.advance()
 
         # Step 9: metrics logging.
         self.state.finish_iteration(executed_action=action, action_source=source)

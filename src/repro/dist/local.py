@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..exec.engine import EnginePolicy, TaskRecord, _fork_available, _task_entry
 from ..exec.work import WorkUnit
+from ..obs.profile import phase
 from .backend import ExecutionContext, ExecutorBackend, error_record
 
 __all__ = ["LocalPoolBackend"]
@@ -116,12 +117,7 @@ class LocalPoolBackend(ExecutorBackend):
 
                 with profiler.phase("engine.pickle"):
                     pickle.dumps(unit.payload)
-                with profiler.phase("engine.dispatch"):
-                    future = executor.submit(
-                        _task_entry, ctx.fn, unit.payload, policy.timeout_s,
-                        ctx.unit_hotspot_spec(unit),
-                    )
-            else:
+            with phase(profiler, "engine.dispatch"):
                 future = executor.submit(
                     _task_entry, ctx.fn, unit.payload, policy.timeout_s,
                     ctx.unit_hotspot_spec(unit),

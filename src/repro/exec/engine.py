@@ -57,6 +57,7 @@ from ..obs.profile import (
     PhaseProfiler,
     capture_hotspots,
     merge_profile_dir,
+    phase,
     unit_profile_path,
     write_profile,
 )
@@ -609,9 +610,6 @@ class CampaignEngine:
 
     def _sleep(self, seconds: float) -> None:
         """Back-off sleep, attributed to ``engine.retry_wait`` when profiling."""
-        if self._profiler is None:
+        with phase(self._profiler, "engine.retry_wait"):
             time.sleep(seconds)
-        else:
-            with self._profiler.phase("engine.retry_wait"):
-                time.sleep(seconds)
 

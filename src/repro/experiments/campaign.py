@@ -36,7 +36,7 @@ from ..exec import (
 from ..jsonutil import dumps as strict_dumps
 from ..llm.planner import LLMPlanner
 from ..llm.surrogate import SurrogateConfig
-from ..obs.profile import PhaseProfiler, unit_profile_path, write_profile
+from ..obs.profile import PhaseProfiler, phase, unit_profile_path, write_profile
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..roles.fault_injector import FaultInjectorRole, FaultPipeline
 from ..roles.generator import LLMGeneratorRole, RuleBasedPlannerRole
@@ -360,11 +360,8 @@ def run_once(
 
     stl_rho: Optional[float] = None
     if run_recorder.frames:
-        if profiler is None:
+        with phase(profiler, "stl.robustness"):
             stl_rho = safety_robustness(run_recorder.frames)
-        else:
-            with profiler.phase("stl.robustness"):
-                stl_rho = safety_robustness(run_recorder.frames)
 
     if profile is not None and profiler is not None:
         write_profile(

@@ -14,9 +14,6 @@ durable and queryable across every layer:
 * :mod:`repro.obs.profile` — the phase profiler: attributes wall/CPU
   time to orchestration and engine phases, merges worker profiles like
   telemetry, and optionally captures per-unit ``cProfile`` hotspots.
-* :mod:`repro.obs.bench` — pinned benchmark workloads emitting
-  schema-versioned ``BENCH_<workload>.json`` snapshots, plus the
-  regression gate that compares two of them.
 * :mod:`repro.obs.metrics` — Prometheus text exposition over the
   telemetry registry (rendering, parsing, validation, ``metrics.json``
   snapshots); what ``GET /v1/metrics`` serves.
@@ -27,7 +24,7 @@ durable and queryable across every layer:
   running service or a trace directory.
 * :mod:`repro.obs.cli` — the ``python -m repro.obs`` command
   (``summarize`` / ``tail`` / ``diff`` / ``query`` / ``top`` /
-  ``profile`` / ``bench`` / ``regress``): recomputes dependability
+  ``profile``): recomputes dependability
   counts from the raw event records and cross-checks them against each
   run's recorded metrics summary, making traced campaigns
   self-certifying.
@@ -42,16 +39,6 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from .bench import (
-    BENCH_SCHEMA_VERSION,
-    WORKLOADS,
-    Workload,
-    compare_bench,
-    load_bench,
-    regress,
-    run_workload,
-    write_bench,
-)
 from .profile import (
     ENGINE_PROFILE_NAME,
     MERGED_PROFILE_NAME,
@@ -131,7 +118,6 @@ def configure_logging(level: "int | str" = logging.INFO, stream=None) -> logging
 
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "Counter",
     "ENGINE_PROFILE_NAME",
     "ENGINE_TRACE_NAME",
@@ -155,16 +141,12 @@ __all__ = [
     "TraceData",
     "TraceRecorder",
     "TraceWriter",
-    "WORKLOADS",
-    "Workload",
     "aggregate_counts",
     "build_row",
     "capture_hotspots",
-    "compare_bench",
     "configure_logging",
     "discover_traces",
     "index_rows",
-    "load_bench",
     "load_metrics_json",
     "load_profile",
     "load_run_traces",
@@ -173,10 +155,8 @@ __all__ = [
     "parse_exposition",
     "recompute_counts",
     "refresh_index",
-    "regress",
     "render_exposition",
     "render_profile",
-    "run_workload",
     "safe_trace_name",
     "trace_controller",
     "unit_profile_path",
@@ -184,7 +164,6 @@ __all__ = [
     "validate_exposition",
     "verify_index",
     "verify_trace",
-    "write_bench",
     "write_manifest",
     "write_metrics_json",
     "write_profile",

@@ -1,5 +1,5 @@
 """The observability CLI:
-``python -m repro.obs {summarize,tail,diff,query,top,profile,bench,regress}``.
+``python -m repro.obs {summarize,tail,diff,query,top,profile}``.
 
 ``summarize``
     Recompute violation/fault/recovery/iteration counts from a trace's
@@ -32,12 +32,6 @@
 ``profile``
     Render a phase profile (``*.profile.json`` file or ``--profile``
     campaign directory): where the wall time went, phase by phase.
-``bench``
-    Run pinned benchmark workloads and emit ``BENCH_<workload>.json``
-    performance snapshots.
-``regress``
-    Gate a current BENCH snapshot against a committed baseline; exits 2
-    when throughput regressed beyond tolerance.
 """
 
 from __future__ import annotations
@@ -511,65 +505,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import WORKLOADS, render_bench, run_workload, write_bench
-
-    if args.list:
-        for w in WORKLOADS.values():
-            marker = " [quick]" if w.quick else ""
-            print(f"{w.name:<16} jobs={w.jobs:<2} {w.description}{marker}")
-        return 0
-    if args.workloads:
-        unknown = sorted(set(args.workloads) - set(WORKLOADS))
-        if unknown:
-            print(f"unknown workload(s): {', '.join(unknown)}", file=sys.stderr)
-            print(f"known: {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
-            return 1
-        selected = [WORKLOADS[n] for n in args.workloads]
-    elif args.all:
-        selected = list(WORKLOADS.values())
-    else:
-        # Default (and --quick): the CI tripwire pair.
-        selected = [w for w in WORKLOADS.values() if w.quick]
-    for workload in selected:
-        payload = run_workload(workload, repeat=args.repeat, jobs=args.jobs)
-        path = write_bench(payload, args.out)
-        print(render_bench(payload))
-        print(f"wrote {path}", file=sys.stderr)
-        print()
-    return 0
-
-
-def cmd_regress(args: argparse.Namespace) -> int:
-    from .bench import regress
-
-    comparisons, code = regress(
-        args.baseline,
-        args.current,
-        args.tolerance_pct,
-        workloads=args.workloads or None,
-    )
-    if not comparisons:
-        print("no comparable BENCH workloads found", file=sys.stderr)
-        return code
-    for comp in comparisons:
-        print(f"workload {comp.workload}:")
-        for err in comp.errors:
-            print(f"  INCOMPARABLE {err}")
-        for delta in comp.deltas:
-            print(f"  {delta}")
-        for regression in comp.regressions:
-            print(f"  REGRESSION {regression}")
-    print()
-    if code == 2:
-        print(f"FAIL: regression beyond ±{args.tolerance_pct:g}% tolerance")
-    elif code == 1:
-        print("NOT COMPARABLE: baseline and current do not measure the same work")
-    else:
-        print(f"OK: within ±{args.tolerance_pct:g}% tolerance")
-    return code
-
-
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -702,61 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser(
-        "bench", help="run pinned workloads, emit BENCH_<workload>.json"
-    )
-    p.add_argument(
-        "workloads", nargs="*", metavar="WORKLOAD",
-        help="workload names (default: the quick set)",
-    )
-    p.add_argument("--list", action="store_true", help="list known workloads")
-    p.add_argument(
-        "--quick", action="store_true",
-        help="run the quick CI set (also the default with no names)",
-    )
-    p.add_argument("--all", action="store_true", help="run every workload")
-    p.add_argument(
-        "--out", type=Path, default=Path("."),
-        help="directory for BENCH_*.json files (default: cwd)",
-    )
-    p.add_argument(
-        "--repeat", type=int, default=1,
-        help="passes per workload; keep the best (noise damping)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="override the workload's pinned job count",
-    )
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "regress", help="gate current BENCH files against a baseline",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "exit codes:\n"
-            "  0  every gated metric within tolerance (identical inputs "
-            "always pass)\n"
-            "  1  nothing comparable — no common workloads, or run/iteration "
-            "counts differ\n"
-            "  2  at least one throughput metric regressed beyond tolerance"
-        ),
-    )
-    p.add_argument(
-        "baseline", type=Path, help="BENCH file or directory of BENCH_*.json"
-    )
-    p.add_argument(
-        "current", type=Path, help="BENCH file or directory of BENCH_*.json"
-    )
-    p.add_argument(
-        "--tolerance-pct", type=float, default=10.0,
-        help="allowed adverse move per metric, in percent (default 10)",
-    )
-    p.add_argument(
-        "--workload", dest="workloads", action="append", default=[],
-        help="only gate this workload (repeatable)",
-    )
-    p.set_defaults(fn=cmd_regress)
     return parser
 
 

@@ -20,9 +20,10 @@ Phase taxonomy (see DESIGN.md §7a):
   ``engine.pickle``, ``engine.worker_run``, ``engine.retry_wait``.
 
 Arming is strictly opt-in: the controller and engine hold
-``profiler = None`` by default and pay one ``is not None`` check per
-phase site — a disarmed profiler records nothing, writes nothing, and
-changes no byte of existing trace or summarize output.
+``profiler = None`` by default, and every phase site goes through
+:func:`phase`, which hands a disarmed site one shared do-nothing context
+— a disarmed profiler records nothing, writes nothing, and changes no
+byte of existing trace or summarize output.
 
 Optional per-work-unit hotspot capture wraps a task in :mod:`cProfile`
 and extracts the top-N functions by cumulative time into plain JSON
@@ -32,6 +33,7 @@ the results, and hotspot rows merge across workers by function identity.
 
 from __future__ import annotations
 
+import contextlib
 import cProfile
 import json
 import pstats
@@ -108,6 +110,20 @@ class _PhaseTimer:
             wall_clock.perf_counter() - self._wall0,
             wall_clock.process_time() - self._cpu0,
         )
+
+
+_NULL_PHASE = contextlib.nullcontext()
+
+
+def phase(profiler: "Optional[PhaseProfiler]", name: str) -> Any:
+    """``with phase(profiler, "sim.step"): ...`` times the block when armed.
+
+    With ``profiler=None`` the block runs inside one shared null context:
+    no timer is made and no clock is read.
+    """
+    if profiler is None:
+        return _NULL_PHASE
+    return profiler.phase(name)
 
 
 class PhaseProfiler:

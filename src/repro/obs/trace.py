@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Any, Dict, IO, Iterable, List, Optional, Tuple
 from ..core.events import Event, EventKind
 from ..durable import read_complete_lines
 from ..jsonutil import dumps as strict_dumps
+from .profile import phase
 from .telemetry import TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,12 +164,9 @@ class TraceRecorder:
 
     def _write(self, record: Dict[str, Any]) -> None:
         """Write one record, attributing the I/O to ``trace.io`` when a
-        phase profiler is armed (disarmed: one ``is not None`` check)."""
-        if self.profiler is None:
+        phase profiler is armed."""
+        with phase(self.profiler, "trace.io"):
             self.writer.write(record)
-        else:
-            with self.profiler.phase("trace.io"):
-                self.writer.write(record)
 
     # ------------------------------------------------------------------
     def attach(self, controller: "OrchestrationController") -> "TraceRecorder":

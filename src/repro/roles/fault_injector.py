@@ -29,9 +29,6 @@ from ..sim.intersection import Route
 from ..sim.perception import ObjectKind, PerceivedObject, PerceptionSnapshot
 from ..sim.scenario import AttackKind
 
-_ghost_ids = itertools.count(-1, -1)
-
-
 @dataclass(frozen=True)
 class InjectionRecord:
     """Evidence of one fault application."""
@@ -67,6 +64,11 @@ class GhostObstacleFault(FaultModel):
     The paper's Ghost Obstacle Injection "adds a non-existent dynamic
     obstacle into the perceived state provided to the Generator" near the
     intersection entry (§IV.C).
+
+    Each fault numbers its ghosts -1, -2, ... and restarts the count in
+    :meth:`reset`, so a ghost's id, which the LiDAR text and the
+    injection evidence show, does not depend on what ran before it in
+    the process.
     """
 
     kind = "ghost_obstacle"
@@ -76,9 +78,11 @@ class GhostObstacleFault(FaultModel):
             raise ValueError(f"distance_ahead must be positive, got {distance_ahead}")
         self.distance_ahead = distance_ahead
         self._ghost: Optional[PerceivedObject] = None
+        self._ids = itertools.count(-1, -1)
 
     def reset(self) -> None:
         self._ghost = None
+        self._ids = itertools.count(-1, -1)
 
     def apply(self, snapshot, route, ego_s, rng):
         if self._ghost is None:
@@ -86,7 +90,7 @@ class GhostObstacleFault(FaultModel):
             # ("near the intersection entry", §IV.C).
             ghost_s = ego_s + self.distance_ahead
             self._ghost = PerceivedObject(
-                object_id=next(_ghost_ids),
+                object_id=next(self._ids),
                 kind=ObjectKind.VEHICLE,
                 position=route.point_at(ghost_s),
                 velocity=Vec2.zero(),

@@ -38,7 +38,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..exec import CampaignEngine, EnginePolicy, fingerprint
 from ..experiments.campaign import CampaignOptions, normalized_field_values
 from ..jsonutil import dumps as strict_dumps
-from ..obs.profile import ENGINE_PROFILE_NAME, PhaseProfiler, merge_profile_dir, write_profile
+from ..obs.profile import (
+    ENGINE_PROFILE_NAME,
+    PhaseProfiler,
+    merge_profile_dir,
+    phase,
+    write_profile,
+)
 from ..obs.telemetry import TelemetryRegistry
 from ..obs.trace import TRACE_SCHEMA_VERSION, TraceWriter
 from ..sim.scenario import spec_to_dict
@@ -405,14 +411,9 @@ class SearchDriver:
         rounds = 0
         minimization_steps = 0
 
-        def profiled(phase: str):
-            if self.profiler is None:
-                return _NULL_PHASE
-            return self.profiler.phase(phase)
-
         # -------------------------------------------------- sampling
         for batch in self._sample_phase():
-            with profiled("search.sample"):
+            with phase(self.profiler, "search.sample"):
                 for params in batch:
                     self.telemetry.counter("search.candidates").inc()
                     self._emit(
@@ -420,7 +421,7 @@ class SearchDriver:
                         rounds,
                         {"round": rounds, "params": params},
                     )
-            with profiled("search.evaluate"):
+            with phase(self.profiler, "search.evaluate"):
                 evaluations.extend(self._evaluate_batch(batch, rounds))
         rounds += 1
 
@@ -432,7 +433,7 @@ class SearchDriver:
                     evaluations, key=lambda e: (e.robustness, e.key)
                 )[: cfg.elites]
                 count = min(cfg.batch, cfg.budget - len(evaluations))
-                with profiled("search.sample"):
+                with phase(self.profiler, "search.sample"):
                     batch = []
                     for i in range(count):
                         parent = elites[i % len(elites)]
@@ -446,14 +447,14 @@ class SearchDriver:
                             rounds,
                             {"round": rounds, "params": params},
                         )
-                with profiled("search.evaluate"):
+                with phase(self.profiler, "search.evaluate"):
                     evaluations.extend(self._evaluate_batch(batch, rounds))
                 scale = max(scale * cfg.cooling, 0.02)
                 rounds += 1
 
         # -------------------------------------------------- coverage
         coverage = CoverageMap(self.space, bins=cfg.bins)
-        with profiled("search.coverage"):
+        with phase(self.profiler, "search.coverage"):
             for evaluation in evaluations:
                 coverage.add(
                     evaluation.params, evaluation.robustness, evaluation.collision
@@ -477,7 +478,7 @@ class SearchDriver:
                 break
         for index, evaluation in enumerate(selected):
             if cfg.minimize and cfg.mode == "falsify":
-                with profiled("search.minimize"):
+                with phase(self.profiler, "search.minimize"):
                     entry, steps, extra = self._minimize(evaluation, index, rounds)
                 minimization_steps += steps
                 for minimized_eval in extra:
@@ -524,7 +525,7 @@ class SearchDriver:
                 "total_cells": coverage.total_cells,
             },
         }
-        with profiled("search.io"):
+        with phase(self.profiler, "search.io"):
             write_corpus(entries, self.out_dir / CORPUS_FILE_NAME)
             coverage.save(self.out_dir / COVERAGE_FILE_NAME)
             (self.out_dir / SUMMARY_FILE_NAME).write_text(
@@ -628,13 +629,3 @@ class SearchDriver:
                 break
         return self._entry_for(evaluation, index, best, reverted), steps, extra
 
-
-class _NullPhase:
-    def __enter__(self) -> "_NullPhase":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_NULL_PHASE = _NullPhase()

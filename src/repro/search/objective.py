@@ -24,7 +24,7 @@ from ..core.orchestrator import OrchestrationResult
 from ..env.recording import TraceFrame, TraceRecorder as RunRecorder
 from ..exec import WorkUnit, fingerprint
 from ..experiments.campaign import CampaignOptions, build_controller
-from ..obs.profile import PhaseProfiler, unit_profile_path, write_profile
+from ..obs.profile import PhaseProfiler, phase, unit_profile_path, write_profile
 from ..obs.trace import TraceRecorder, unit_trace_path
 from ..sim.scenario import ScenarioSpec
 from ..stl import finite_robustness
@@ -115,11 +115,8 @@ def evaluate_spec(
         spec, options, trace=trace, trace_id=key, profiler=profiler
     )
     if frames:
-        if profiler is None:
+        with phase(profiler, "stl.robustness"):
             robustness = safety_robustness(frames)
-        else:
-            with profiler.phase("stl.robustness"):
-                robustness = safety_robustness(frames)
     else:  # pragma: no cover - the orchestrator always completes >= 1 tick
         robustness = NO_TRACE_ROBUSTNESS
     if profile is not None and profiler is not None:

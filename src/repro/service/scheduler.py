@@ -8,10 +8,12 @@ existing :class:`~repro.exec.CampaignEngine` / search driver machinery,
 journaled into the job's directory — and settles the record to
 ``done``/``failed``/``cancelled``.
 
-Durability: every state change is saved through the
-:class:`~repro.service.store.JobStore` *before* it is observable over
-the API, and :meth:`Scheduler.recover` rebuilds the entire scheduler
-state from the store on start — jobs found ``running`` were orphaned by
+Durability: every state change is made on a copy of the job's record,
+saved through the :class:`~repro.service.store.JobStore`, and only then
+swapped in where the API reads it (:meth:`Scheduler._commit`), so a
+client never sees a state ``state.json`` does not hold.
+:meth:`Scheduler.recover` rebuilds the entire scheduler state from the
+store on start — jobs found ``running`` were orphaned by
 a dead server and go back on the queue; their kind runners resume from
 the job directory's engine journal, so completed work is replayed, not
 re-executed, and the final report is byte-identical to an uninterrupted
@@ -20,6 +22,7 @@ run.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import threading
 import time
@@ -160,27 +163,40 @@ class Scheduler:
         """
         recovered: List[str] = []
         for record in self.store.list():
-            if record.state == QUEUED:
-                self._records[record.id] = record
-                self.queue.push(record.id, record.spec.priority, record.seq)
-            elif record.state == RUNNING:
-                record.transition(QUEUED)
-                self.store.save(record)
+            if record.state == RUNNING:
+                record = self._commit(record, QUEUED)
                 self.store.append_event(
                     record.id,
                     {"kind": "job_recovered", "job": record.id,
                      "recovered": record.recovered},
                 )
-                self._records[record.id] = record
-                self.queue.push(record.id, record.spec.priority, record.seq)
                 self.telemetry.counter("service.jobs_recovered").inc()
                 recovered.append(record.id)
             else:
                 self._records[record.id] = record
+            if record.state == QUEUED:
+                self.queue.push(record.id, record.spec.priority, record.seq)
         if recovered:
             logger.info("recovered %d orphaned job(s): %s",
                         len(recovered), ", ".join(recovered))
         return recovered
+
+    def _commit(self, record: JobRecord, state: Optional[str] = None, *,
+                error: Optional[str] = None, result: Optional[Dict] = None,
+                **fields: int) -> JobRecord:
+        """Persist a changed copy of ``record``, then publish it.
+
+        The copy gets ``fields`` and, when ``state`` is given, the
+        transition to it; :meth:`job` keeps serving the old record until
+        ``store.save`` has returned.  Returns the new record.
+        """
+        updated = dataclasses.replace(record, transitions=list(record.transitions), **fields)
+        if state is not None:
+            updated.transition(state, error=error, result=result)
+        self.store.save(updated)
+        with self._cond:
+            self._records[updated.id] = updated
+        return updated
 
     # ------------------------------------------------------------------
     # submission / queries / cancellation
@@ -237,8 +253,7 @@ class Scheduler:
             self.store.append_event(
                 record.id, {"kind": "job_cancelled", "job": record.id}
             )
-            record.transition(CANCELLED)
-            self.store.save(record)
+            record = self._commit(record, CANCELLED)
             self.telemetry.counter("service.jobs_cancelled").inc()
         return record
 
@@ -341,8 +356,7 @@ class Scheduler:
     def _run_job(self, record: JobRecord, slots: int, flag: threading.Event) -> None:
         job_id = record.id
         job_dir = self.store.job_dir(job_id)
-        record.transition(RUNNING)
-        self.store.save(record)
+        record = self._commit(record, RUNNING)
         self.store.append_event(
             job_id, {"kind": "job_started", "job": job_id, "slots": slots}
         )
@@ -352,6 +366,7 @@ class Scheduler:
             self.telemetry.histogram("jobs.wait_s").record(wait_s)
 
         def record_progress(event: ProgressEvent) -> None:
+            nonlocal record
             self.store.append_event(
                 job_id,
                 {
@@ -365,9 +380,9 @@ class Scheduler:
                 },
             )
             if event.done or event.total:
-                record.progress_done = event.done
-                record.progress_total = event.total
-                self.store.save(record)
+                record = self._commit(
+                    record, progress_done=event.done, progress_total=event.total
+                )
 
         ctx = JobContext(
             job_dir=job_dir,
@@ -387,8 +402,7 @@ class Scheduler:
             if self._stopping.is_set() and not user_cancelled:
                 # Graceful shutdown interrupted the job — back to the
                 # queue: a restarted server resumes it from its journal.
-                record.transition(QUEUED)
-                self.store.save(record)
+                record = self._commit(record, QUEUED)
                 self.store.append_event(
                     job_id, {"kind": "job_interrupted", "job": job_id}
                 )
@@ -398,8 +412,7 @@ class Scheduler:
                 self.store.append_event(
                     job_id, {"kind": "job_cancelled", "job": job_id}
                 )
-                record.transition(CANCELLED)
-                self.store.save(record)
+                record = self._commit(record, CANCELLED)
                 self.telemetry.counter("service.jobs_cancelled").inc()
         except BaseException as exc:  # noqa: BLE001 - runner must settle the record
             detail = traceback.format_exc()
@@ -408,16 +421,14 @@ class Scheduler:
             self.store.append_event(
                 job_id, {"kind": "job_failed", "job": job_id, "error": error}
             )
-            record.transition(FAILED, error=error)
-            self.store.save(record)
+            record = self._commit(record, FAILED, error=error)
             self.telemetry.counter("service.jobs_failed").inc()
             logger.warning("job %s failed: %s", job_id, error)
         else:
             self.store.append_event(
                 job_id, {"kind": "job_done", "job": job_id, "result": result}
             )
-            record.transition(DONE, result=result)
-            self.store.save(record)
+            record = self._commit(record, DONE, result=result)
             self.telemetry.counter("service.jobs_done").inc()
         finally:
             with self._cond:

@@ -9,20 +9,17 @@ must not render anything.
 """
 
 import hashlib
-import itertools
 from collections import Counter
 
 import pytest
 
 import repro.llm.planner as planner_module
-import repro.roles.fault_injector as fault_injector_module
 from repro.experiments.campaign import run_once
 from repro.experiments.table2 import SCENARIO_ORDER
 
 #: Prompts rendered over seed 0 of the six paper scenarios, and the sha256
 #: of their UTF-8 texts in run order, each followed by ``b"\0"``, as
-#: rendered by the eager planner that built every prompt at plan time, in
-#: a fresh process.
+#: rendered by the eager planner that built every prompt at plan time.
 SEED0_PROMPTS = 1217
 SEED0_DIGEST = "2edfc2db71d73107c1ad243e4c0826ef5ca868502ead183ded4321f022fd20c4"
 
@@ -61,9 +58,6 @@ def _campaign(read_at_plan_time):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner_module.LLMPlanner, "plan", plan)
-        # Ghost ids come from a process-wide counter and reach the LiDAR
-        # text; restart it so the digest does not depend on earlier runs.
-        mp.setattr(fault_injector_module, "_ghost_ids", itertools.count(-1, -1))
         for name in _RENDERERS:
             mp.setattr(planner_module, name, counting(name))
         for scenario in SCENARIO_ORDER:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.core import RoleResult, Verdict
+from repro.experiments.campaign import execute_suite
 from repro.geom import Vec2
+from repro.obs.trace import load_run_traces
 from repro.roles import (
     DIRECTIVE_KEY,
     INTENSITY_KEY,
@@ -19,6 +21,7 @@ from repro.roles import (
     TrajectorySpoofFault,
 )
 from repro.sim import AttackKind, Maneuver, perceive
+from repro.sim.scenario import ScenarioType
 
 from .conftest import advance, make_context
 
@@ -240,3 +243,20 @@ class TestInjectorRole:
         result = injector.execute(make_context(quiet_interface))
         assert result.verdict is Verdict.INFO
         assert pipeline.active_kinds == []
+
+
+def _ghost_details(trace_dir, jobs):
+    execute_suite([ScenarioType.GHOST_ATTACK], range(4), jobs=jobs, progress=None, trace=trace_dir)
+    return [
+        (trace.trace_id, event["payload"]["detail"])
+        for trace in load_run_traces(trace_dir)
+        for event in trace.events
+        if event.get("event") == "fault_injected"
+    ]
+
+
+def test_ghost_ids_do_not_depend_on_process_history(tmp_path):
+    """Forked workers inherit whatever the parent ran; the evidence must not."""
+    serial = _ghost_details(tmp_path / "serial", jobs=1)
+    assert serial and all("ghost vehicle #-1 at" in detail for _, detail in serial)
+    assert _ghost_details(tmp_path / "pool", jobs=2) == serial

@@ -18,11 +18,15 @@ Crash points, named after the NIGHTWATCH fault taxonomy (SNIPPETS.md):
 * ``before_replace``: the temp file synced, not yet renamed;
 * ``after_replace``: renamed, the directory not yet synced.
 
+The service case at the end kills the job server while it saves a
+settled job (a *partial response* of ``state.json``), then restarts it.
+
 A process death leaves unsynced data in the page cache, so the last
 three read the same as after a clean write or a clean failure; losing
 the cache (an OS crash or power cut) is not simulated here.
 """
 
+import json
 import os
 import shutil
 import traceback
@@ -36,12 +40,22 @@ from repro.experiments.campaign import execute_suite
 from repro.obs.index import default_index_path, load_index, refresh_index
 from repro.obs.metrics import load_metrics_json, write_metrics_json
 from repro.obs.telemetry import TelemetryRegistry
-from repro.service import JobSpec, JobStore
+from repro.service import (
+    JobSpec,
+    JobStore,
+    Scheduler,
+    ServiceClient,
+    register_job_kind,
+    unregister_job_kind,
+)
+from repro.service.api import serve
+from repro.service.jobs import DONE, RUNNING
 from repro.sim.scenario import ScenarioType
 
 from .distributed.dist_tasks import square
 
 CRASHED = 86
+PUBLISHED_BEFORE_SAVED = 87
 ATOMIC_STEPS = (
     "before_write", "partial_write", "before_fsync", "before_replace", "after_replace",
 )
@@ -74,11 +88,14 @@ def _arm(step):
 
 
 def _crash_at(step, write):
+    """Run ``write`` in a forked child armed at ``step`` (``None``: the
+    child arms itself) and check that it died at the crash point."""
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            _arm(step)
+            if step is not None:
+                _arm(step)
             write()
             code = 0  # the crash point was never reached
         except BaseException:
@@ -285,3 +302,60 @@ def test_journal_counts_a_torn_tail_as_one_corrupt_line(tmp_path):
     append("third")
     state = load_journal(tmp_path / "journal.jsonl")
     assert (state.corrupt_lines, list(state.tasks)) == (1, ["first", "third"])
+
+
+# ----------------------------------------------------------------------
+# the service: persisted before observable
+# ----------------------------------------------------------------------
+
+
+def _echo(spec, _ctx):
+    return {"echo": spec["x"]}
+
+
+def test_partial_response_at_job_settle_restarts_to_the_saved_state(tmp_path):
+    """The server dies half-way through saving a job's ``done``.
+
+    Up to that save the API must keep serving the old state (the child
+    exits with ``PUBLISHED_BEFORE_SAVED`` otherwise).  The torn save
+    leaves ``state.json`` at ``running``; a restarted server resumes the
+    job, and ``watch`` must end on exactly what ``state.json`` holds.
+    """
+    root = tmp_path / "root"
+    register_job_kind("crash-echo", _echo)
+    try:
+        store = JobStore(root)
+        job_id = store.create(JobSpec(kind="crash-echo", spec={"x": 3})).id
+
+        def serve_until_the_done_save():
+            scheduler = Scheduler(JobStore(root), workers=1)
+            real_save = JobStore.save
+
+            def save(self, record):
+                if record.state == DONE:
+                    if scheduler.job(record.id).state == DONE:
+                        os._exit(PUBLISHED_BEFORE_SAVED)
+                    _arm("partial_write")
+                real_save(self, record)
+
+            JobStore.save = save  # this forked child only
+            scheduler.start()
+            scheduler.wait_idle(timeout=10.0)
+
+        _crash_at(None, serve_until_the_done_save)
+        assert store.load(job_id).state == RUNNING
+
+        scheduler = Scheduler(store, workers=1).start()
+        server, _thread = serve(scheduler)
+        try:
+            client = ServiceClient(server.url, timeout=10.0)
+            events = [event["kind"] for event in client.watch(job_id, wait=1.0)]
+            saved = json.loads((store.job_dir(job_id) / "state.json").read_text())
+            assert client.job(job_id) == saved
+            assert (saved["state"], saved["result"], saved["recovered"]) == (DONE, {"echo": 3}, 1)
+            assert events[-1] == "job_done"
+        finally:
+            server.shutdown()
+            scheduler.stop()
+    finally:
+        unregister_job_kind("crash-echo")
